@@ -272,7 +272,10 @@ def _cmd_embed(session, args) -> dict:
     kept = None
     if getattr(args, "keep", None):
         kept = _variable_indices(session, args.keep)
-    emb = minimal_embedding(cone, kept=kept)
+    try:
+        emb = minimal_embedding(cone, kept=kept)
+    except ValueError as err:
+        raise Rejection(str(err)) from err
     ring = cone.ring
     return {
         "ideal": name,
@@ -363,7 +366,10 @@ def _cmd_orbit_closure(session, args) -> dict:
 def _cmd_stratum_mu(session, args) -> dict:
     ring = _need_ring(session)
     grading = _need_grading(session)
-    union = low_orbit_stratum(grading, args.mu)
+    try:
+        union = low_orbit_stratum(grading, args.mu)
+    except ValueError as err:
+        raise Rejection(str(err)) from err
     return {
         "bound": union.bound,
         "components": [_names(ring, c) for c in union.components],

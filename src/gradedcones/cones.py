@@ -22,7 +22,6 @@ from itertools import combinations
 
 from .errors import ImproperIdealError, NonPositiveGradingError, NotHomogeneousError
 from .grading import Degree, GradingMap, NonPositivityCertificate
-from .groebner import buchberger
 from .ideals import IdealPresentation, krull_dimension
 from .orders import TermOrder
 from .rings import Polynomial
@@ -93,19 +92,40 @@ class LinearPartBasis:
 def linear_part(cone: HomogeneousIdeal) -> LinearPartBasis:
     ring = cone.ring
     n = ring.nvars
-    rows: list[list[Fraction]] = []
+    rows = []
     for g in cone.base.generators:
         lin = g.degree_component(1)
-        if lin.is_zero():
-            continue
-        row = [Fraction(0)] * n
-        for e, c in lin.terms.items():
-            row[e.index(1)] = c
-        rows.append(row)
-    # Gauss-Jordan with earliest-column pivoting
+        if not lin.is_zero():
+            rows.append(_coefficient_row(lin, n))
+    pivots = _rref(rows, n)
+    forms = []
+    for row in rows[: len(pivots)]:
+        terms = {}
+        for j, v in enumerate(row):
+            if v:
+                e = [0] * n
+                e[j] = 1
+                terms[tuple(e)] = v
+        form = Polynomial(ring, terms)
+        assert cone.grading.is_homogeneous(form), "mixed-degree linear form"
+        forms.append(form)
+    return LinearPartBasis(forms=tuple(forms), pivots=tuple(pivots))
+
+
+def _coefficient_row(form: Polynomial, n: int) -> list[Fraction]:
+    """Coefficients of a linear form, one per variable."""
+    row = [Fraction(0)] * n
+    for e, c in form.terms.items():
+        row[e.index(1)] = c
+    return row
+
+
+def _rref(rows: list[list[Fraction]], n: int) -> list[int]:
+    """In-place Gauss-Jordan with earliest-column pivoting; returns the pivot
+    columns.  The first len(pivots) rows end as the reduced row echelon basis."""
     pivots: list[int] = []
-    r = 0
     for c in range(n):
+        r = len(pivots)
         hit = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if hit is None:
             continue
@@ -116,19 +136,7 @@ def linear_part(cone: HomogeneousIdeal) -> LinearPartBasis:
                 f = rows[i][c]
                 rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
         pivots.append(c)
-        r += 1
-    forms = []
-    for i in range(r):
-        terms = {}
-        for j, v in enumerate(rows[i]):
-            if v:
-                e = [0] * n
-                e[j] = 1
-                terms[tuple(e)] = v
-        form = Polynomial(ring, terms)
-        assert cone.grading.is_homogeneous(form), "mixed-degree linear form"
-        forms.append(form)
-    return LinearPartBasis(forms=tuple(forms), pivots=tuple(pivots))
+    return pivots
 
 
 @dataclass(frozen=True)
@@ -246,32 +254,11 @@ def minimal_embedding(cone: HomogeneousIdeal, kept=None) -> EmbeddingResult:
 def _check_span(lin: LinearPartBasis, kept_list, ring):
     """kept variables plus the linear part must span all degree-one forms."""
     n = ring.nvars
-    rows = []
-    for form in lin.forms:
-        row = [Fraction(0)] * n
-        for e, c in form.terms.items():
-            row[e.index(1)] = c
-        rows.append(row)
-    for i in kept_list:
-        row = [Fraction(0)] * n
-        row[i] = Fraction(1)
-        rows.append(row)
-    covered = set()
-    r = 0
-    for c in range(n):
-        hit = next((k for k in range(r, len(rows)) if rows[k][c] != 0), None)
-        if hit is None:
-            continue
-        rows[r], rows[hit] = rows[hit], rows[r]
-        rows[r] = [v / rows[r][c] for v in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][c] != 0:
-                f = rows[k][c]
-                rows[k] = [v - f * w for v, w in zip(rows[k], rows[r])]
-        covered.add(c)
-        r += 1
-    if r < n:
-        missing = next(i for i in range(n) if i not in covered)
+    rows = [_coefficient_row(form, n) for form in lin.forms]
+    rows += [_coefficient_row(ring.variable(i), n) for i in kept_list]
+    pivots = _rref(rows, n)
+    if len(pivots) < n:
+        missing = next(i for i in range(n) if i not in pivots)
         raise ValueError(
             f"kept set plus linear part does not span the linear forms; "
             f"{ring.names[missing]} is not covered"

@@ -133,13 +133,10 @@ class GradingMap:
 
     # -- positivity ---------------------------------------------------------------
 
-    def positivity(self, engine: str | None = None):
+    def positivity(self):
         """PositivityWitness or NonPositivityCertificate; cached after first call."""
-        if self._positivity is None or engine is not None:
-            result = positivity_witness(self, engine=engine)
-            if engine is not None:
-                return result
-            self._positivity = result
+        if self._positivity is None:
+            self._positivity = positivity_witness(self)
         return self._positivity
 
     def witness(self) -> PositivityWitness | None:
@@ -159,11 +156,7 @@ class GradingMap:
         return TermOrder.weighted(w.dots, tiebreak or TermOrder.lex())
 
 
-def multidegree(grading: GradingMap, exponent: Exponent) -> Degree:
-    return grading.degree(exponent)
-
-
-def positivity_witness(grading: GradingMap, engine: str | None = None):
+def positivity_witness(grading: GradingMap):
     """Decide positivity exactly.
 
     Solves omega . column_i >= 1 over the rationals and scales the answer to
@@ -175,7 +168,7 @@ def positivity_witness(grading: GradingMap, engine: str | None = None):
         return PositivityWitness(omega=(0,) * grading.m, dots=())
     rows = [tuple(Fraction(x) for x in c) for c in cols]
     rhs = [Fraction(1)] * len(cols)
-    status, data = ratlp.feasible_or_farkas(rows, rhs, grading.m, engine=engine)
+    status, data = ratlp.feasible_or_farkas(rows, rhs, grading.m)
     if status == "point":
         den = lcm(*[v.denominator for v in data]) if data else 1
         omega = tuple(int(v * den) for v in data)
@@ -200,10 +193,6 @@ def positivity_witness(grading: GradingMap, engine: str | None = None):
     if bad:
         raise ArithmeticError("non-positivity certificate failed verification")
     return NonPositivityCertificate(alpha=alpha)
-
-
-def induced_term_order(grading: GradingMap, tiebreak: TermOrder | None = None) -> TermOrder:
-    return grading.induced_order(tiebreak)
 
 
 def lattice_rank_index(degrees, sub=None) -> tuple[int, int | None]:

@@ -45,23 +45,33 @@ def normal_form(f: Polynomial, basis, order: TermOrder) -> Polynomial:
     Deterministic: at each step the greatest reducible term is cancelled
     using the first basis element (in stored order) whose leading term
     divides it.  The result has no term divisible by any basis leading term.
+    f itself is not mutated; the division runs on a copy of its terms.
     """
     basis = [g for g in basis if not g.is_zero()]
     if not basis:
         return f
-    leads = [(order.leading_exponent(g), order.leading_coefficient(g), g) for g in basis]
+    leads = [(order.leading_exponent(g), g) for g in basis]
     remainder: dict[Exponent, Fraction] = {}
-    p = f
-    while not p.is_zero():
-        e = order.leading_exponent(p)
-        c = p.terms[e]
-        for le, lc, g in leads:
+    p = dict(f.terms)
+    while p:
+        e = max(p, key=order.key)
+        c = p.pop(e)
+        for le, g in leads:
             if exp_divides(le, e):
-                p = p - (c / lc) * p.ring.monomial(exp_sub(e, le)) * g
+                # p -= q x^shift g; g's leading term would cancel the popped c
+                q = c / g.terms[le]
+                shift = exp_sub(e, le)
+                for ge, gc in g.terms.items():
+                    if ge != le:
+                        t = exp_add(ge, shift)
+                        s = p.get(t, 0) - q * gc
+                        if s:
+                            p[t] = s
+                        else:
+                            del p[t]
                 break
         else:
             remainder[e] = c
-            p = p - p.ring.monomial(e, c)
     return Polynomial(f.ring, remainder)
 
 
@@ -120,9 +130,9 @@ def buchberger(
     heap: list = []
 
     def push_pairs(j: int):
+        # a pair holds no lcm: it is recomputed on pop, saving memory per pair
         for i in range(j):
-            lcm = exp_lcm(leads[i], leads[j])
-            heapq.heappush(heap, (order.key(lcm), i, j, lcm))
+            heapq.heappush(heap, (order.key(exp_lcm(leads[i], leads[j])), i, j))
             pending.add((i, j))
 
     for j in range(len(basis)):
@@ -130,7 +140,8 @@ def buchberger(
 
     processed = 0
     while heap:
-        _, i, j, lcm = heapq.heappop(heap)
+        _, i, j = heapq.heappop(heap)
+        lcm = exp_lcm(leads[i], leads[j])
         pending.discard((i, j))
         processed += 1
         if processed > cap:
@@ -177,14 +188,8 @@ def _interreduce(basis, order: TermOrder) -> list[Polynomial]:
         le = order.leading_exponent(g)
         if not any(exp_divides(order.leading_exponent(h), le) for h in minimal):
             minimal.append(g)
-    # tail-reduce until stable
-    changed = True
-    while changed:
-        changed = False
-        for i, g in enumerate(minimal):
-            rest = minimal[:i] + minimal[i + 1 :]
-            r = order.monic(normal_form(g, rest, order)) if rest else g
-            if r != g:
-                minimal[i] = r
-                changed = True
-    return [g for g in minimal if not g.is_zero()]
+    # the leading terms are fixed from here on, so one pass of tail
+    # reduction against the other elements yields the reduced basis
+    for i, g in enumerate(minimal):
+        minimal[i] = order.monic(normal_form(g, minimal[:i] + minimal[i + 1 :], order))
+    return minimal

@@ -22,7 +22,7 @@ class IdealPresentation:
 
     __slots__ = ("ring", "generators", "_gb_cache")
 
-    def __init__(self, ring: PolyRing, generators=(), cached_gb: GroebnerBasis | None = None):
+    def __init__(self, ring: PolyRing, generators=()):
         gens = []
         for g in generators:
             if not isinstance(g, Polynomial):
@@ -34,19 +34,6 @@ class IdealPresentation:
         self.ring = ring
         self.generators = tuple(gens)
         self._gb_cache: dict[tuple, GroebnerBasis] = {}
-        if cached_gb is not None:
-            self._adopt_verified(cached_gb)
-
-    def _adopt_verified(self, gb: GroebnerBasis):
-        """Accept an externally supplied basis after a two-way membership check."""
-        if gb.ring != self.ring:
-            raise ValueError("cached basis from a different ring")
-        own = buchberger(self.generators, gb.order, ring=self.ring)
-        if not all(own.contains(g) for g in gb.elements):
-            raise ValueError("cached basis has elements outside the ideal")
-        if not all(gb.contains(g) for g in self.generators):
-            raise ValueError("cached basis does not reduce the generators to zero")
-        self._gb_cache[gb.order.tag()] = gb
 
     def groebner(self, order: TermOrder | None = None) -> GroebnerBasis:
         order = order or DEFAULT_ORDER

@@ -203,8 +203,3 @@ def lattice_index(full_vectors, sub_vectors) -> int | None:
     if ratio.denominator != 1:
         raise ValueError("second lattice is not contained in the first")
     return int(ratio)
-
-
-def lattice_membership_matrix(vectors) -> list[list[int]]:
-    """Canonical basis (HNF rows) used to compare lattices for equality."""
-    return hermite_normal_form(vectors)

@@ -11,6 +11,8 @@ Available kinds:
   elimination(block, tie)  total degree within a variable block first; any
                          monomial meeting the block beats any monomial that
                          avoids it, which makes it an elimination order
+  product(first, split, rest)  first on the leading split variables, ties by
+                         rest on the others (a block order)
 
 Orders used for Groebner computations must be well-orders (the constant
 monomial is minimal); weighted orders get this only from nonnegative weights
@@ -25,14 +27,18 @@ from .rings import Exponent, Polynomial
 
 
 class TermOrder:
-    __slots__ = ("kind", "priority", "weights", "tiebreak", "block")
+    __slots__ = ("kind", "priority", "weights", "tiebreak", "block", "first", "split")
 
-    def __init__(self, kind, priority=None, weights=None, tiebreak=None, block=None):
+    def __init__(
+        self, kind, priority=None, weights=None, tiebreak=None, block=None, first=None, split=None
+    ):
         self.kind = kind
         self.priority = tuple(priority) if priority is not None else None
         self.weights = tuple(int(w) for w in weights) if weights is not None else None
         self.tiebreak = tiebreak
         self.block = frozenset(block) if block is not None else None
+        self.first = first
+        self.split = split
 
     # -- constructors ----------------------------------------------------------
 
@@ -53,6 +59,11 @@ class TermOrder:
         """Order whose initial segment eliminates the block variables."""
         return cls("elimination", block=block, tiebreak=tiebreak)
 
+    @classmethod
+    def product(cls, first: "TermOrder", split: int, rest: "TermOrder") -> "TermOrder":
+        """first on the exponents before position split, ties by rest on the others."""
+        return cls("product", first=first, split=int(split), tiebreak=rest)
+
     # -- the order itself -------------------------------------------------------
 
     def key(self, e: Exponent):
@@ -72,6 +83,8 @@ class TermOrder:
             return (sum(wi * xi for wi, xi in zip(w, e)), self.tiebreak.key(e))
         if kind == "elimination":
             return (sum(e[i] for i in self.block), self.tiebreak.key(e))
+        if kind == "product":
+            return (self.first.key(e[: self.split]), self.tiebreak.key(e[self.split :]))
         raise ValueError(f"unknown order kind {kind}")
 
     def greater(self, a: Exponent, b: Exponent) -> bool:
@@ -88,6 +101,8 @@ class TermOrder:
             return all(w >= 0 for w in self.weights) and self.tiebreak.is_well_order()
         if self.kind == "elimination":
             return self.tiebreak.is_well_order()
+        if self.kind == "product":
+            return self.first.is_well_order() and self.tiebreak.is_well_order()
         return False
 
     def tag(self) -> tuple:
@@ -98,6 +113,8 @@ class TermOrder:
             self.weights,
             self.tiebreak.tag() if self.tiebreak is not None else None,
             tuple(sorted(self.block)) if self.block is not None else None,
+            self.first.tag() if self.first is not None else None,
+            self.split,
         )
 
     def __eq__(self, other) -> bool:

@@ -105,14 +105,6 @@ class PolyRing:
             return self.zero()
         return Polynomial(self, {exponent: c})
 
-    def from_terms(self, terms: Mapping[Exponent, Fraction]) -> "Polynomial":
-        out: dict[Exponent, Fraction] = {}
-        for e, c in terms.items():
-            c = _exact(c)
-            if c != 0:
-                out[tuple(e)] = c
-        return Polynomial(self, out)
-
     # -- derived rings -------------------------------------------------------
 
     def extend(self, extra: Iterable[str]) -> "PolyRing":
@@ -155,12 +147,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(exp_total(e) == 0 for e in self.terms)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.ring.nvars, Fraction(0))
-
-    def num_terms(self) -> int:
-        return len(self.terms)
-
     def total_degree(self) -> int:
         """Maximal standard degree of a term; -1 for the zero polynomial."""
         if not self.terms:
@@ -180,9 +166,6 @@ class Polynomial:
                 if x:
                     out.add(i)
         return frozenset(out)
-
-    def coefficient(self, exponent: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exponent), Fraction(0))
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -24,6 +24,7 @@ from itertools import combinations
 from .cones import EmbeddingResult, homogeneous_ideal, minimal_embedding
 from .errors import Rejection
 from .grading import GradingMap, NonPositivityCertificate, PositivityWitness
+from .groebner import normal_form, s_polynomial
 from .ideals import IdealPresentation
 from .orders import TermOrder
 from .rings import Exponent, PolyRing, Polynomial, exp_add, exp_divides, exp_lcm, exp_sub
@@ -217,10 +218,9 @@ def stratum_ideal(scheme: TailScheme) -> StratumResult:
     order = scheme.ideal.order
     s = xring.nvars
     combined = PolyRing(xring.names + cring.names)
-    pad = (0,) * cring.nvars
 
     def marker(h: int) -> Polynomial:
-        terms = {scheme.heads[h] + pad: Fraction(1)}
+        terms = {scheme.heads[h] + (0,) * cring.nvars: Fraction(1)}
         for k, (hk, beta) in enumerate(scheme.pairs):
             if hk == h:
                 unit = tuple(int(t == k) for t in range(cring.nvars))
@@ -228,25 +228,6 @@ def stratum_ideal(scheme: TailScheme) -> StratumResult:
         return Polynomial(combined, terms)
 
     markers = [marker(h) for h in range(len(scheme.heads))]
-
-    def term_key(e: Exponent):
-        return (order.key(e[:s]), e[s:])
-
-    def reduce_fully(f: Polynomial) -> Polynomial:
-        while not f.is_zero():
-            target = None
-            head_at = None
-            for e in f.terms:
-                for h, head in enumerate(scheme.heads):
-                    if exp_divides(head, e[:s]):
-                        if target is None or term_key(e) > term_key(target):
-                            target, head_at = e, h
-                        break
-            if target is None:
-                return f
-            shift = exp_sub(target, scheme.heads[head_at] + pad)
-            f = f - combined.monomial(shift, f.terms[target]) * markers[head_at]
-        return f
 
     pair_order = sorted(
         (
@@ -256,15 +237,13 @@ def stratum_ideal(scheme: TailScheme) -> StratumResult:
         )
     )
     clex = TermOrder.lex()
+    # under this block order every marker's leading term is its head
+    reduction_order = TermOrder.product(order, s, clex)
     generators: list[Polynomial] = []
     seen: set = set()
     for _, i, j in pair_order:
-        lcm = exp_lcm(scheme.heads[i], scheme.heads[j])
-        spoly = (
-            combined.monomial(exp_sub(lcm, scheme.heads[i]) + pad) * markers[i]
-            - combined.monomial(exp_sub(lcm, scheme.heads[j]) + pad) * markers[j]
-        )
-        remainder = reduce_fully(spoly)
+        spoly = s_polynomial(markers[i], markers[j], reduction_order)
+        remainder = normal_form(spoly, markers, reduction_order)
         buckets: dict[Exponent, dict[Exponent, Fraction]] = {}
         for e, c in remainder.terms.items():
             buckets.setdefault(e[:s], {})[e[s:]] = c

@@ -189,6 +189,32 @@ def test_rejection_carries_certificate(run):
     assert d["certificate"] == [1, 1]
 
 
+@pytest.mark.parametrize(
+    "argv, doc, message",
+    [
+        (
+            ["embed", "--keep", "z"],
+            "ring x y z ;\ngrading [[1],[1],[1]] ;\nideal I = x - y , x y - z^2 ;\n",
+            "does not span",
+        ),
+        (["stratum-mu", "--mu", "-1"], "ring x y ;\ngrading [[1],[1]] ;\n", "nonnegative"),
+        (
+            ["stratum-mu", "--mu", "1"],
+            "ring " + " ".join(f"x{i}" for i in range(21)) + " ;\n"
+            "grading [" + ",".join("[1]" for _ in range(21)) + "] ;\n",
+            "20 variables",
+        ),
+    ],
+    ids=["embed-keep-short-of-span", "stratum-mu-negative", "stratum-mu-21-variables"],
+)
+def test_invalid_arguments_are_rejections(run, argv, doc, message):
+    code, out = run(argv + ["--json"], doc=doc)
+    assert code == 1
+    report = json.loads(out)
+    assert report["status"] == "rejected"
+    assert message in report["diagnostics"]["message"]
+
+
 def test_parse_error_exit_two(run):
     code, out = run(["check", "--json"], doc="ring x\n")
     assert code == 2

@@ -8,10 +8,9 @@ from gradedcones.grading import (
     NonPositivityCertificate,
     PositivityWitness,
     lattice_rank_index,
-    multidegree,
-    positivity_witness,
 )
 from gradedcones.orders import TermOrder
+from gradedcones.ratlp import feasible_or_farkas
 from gradedcones.rings import PolyRing
 
 from helpers import exponents_up_to, random_positive_grading, random_rational
@@ -49,7 +48,7 @@ def test_degree_golden():
     assert G.degree((2, 1, 1, 0)) == (3, 5)
     assert G.degree((1, 0, 0, 1)) == (3, 5)
     assert G.degree((0, 1, 2, 1)) == (3, 5)
-    assert multidegree(G, (0, 0, 0, 0)) == (0, 0)
+    assert G.degree((0, 0, 0, 0)) == (0, 0)
     assert G.homogeneous_degree(F) == (3, 5)
     assert G.matrix_rows() == [[1, 1, 0, 2], [2, 0, 1, 3]]
 
@@ -107,8 +106,9 @@ def test_positivity_witness_golden():
     # omega = (1, 1) works here and the engines both certify positivity
     assert sum(w.omega[k] * G.columns[0][k] for k in range(2)) == w.dots[0]
     for engine in ("fm", "simplex"):
-        alt = positivity_witness(G, engine=engine)
-        assert isinstance(alt, PositivityWitness)
+        kind, omega = feasible_or_farkas(G.columns, [1] * 4, 2, engine=engine)
+        assert kind == "point"
+        assert all(sum(w * x for w, x in zip(omega, col)) >= 1 for col in G.columns)
 
 
 def test_non_positive_grading_certificate():
@@ -118,10 +118,11 @@ def test_non_positive_grading_certificate():
     assert isinstance(cert, NonPositivityCertificate)
     assert cert.alpha == (1, 1)
     for engine in ("fm", "simplex"):
-        again = positivity_witness(g, engine=engine)
-        assert isinstance(again, NonPositivityCertificate)
+        kind, alpha = feasible_or_farkas(g.columns, [1, 1], 1, engine=engine)
+        assert kind == "farkas"
         # u^a v^b is a nonconstant degree-zero monomial
-        assert sum(again.alpha[i] * g.columns[i][0] for i in range(2)) == 0
+        assert all(a >= 0 for a in alpha) and any(alpha)
+        assert sum(alpha[i] * g.columns[i][0] for i in range(2)) == 0
 
 
 def test_graded_pieces_are_finite_dimensional_when_positive():

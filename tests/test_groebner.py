@@ -36,6 +36,14 @@ def test_normal_form_irreducible():
     assert normal_form(P("y^3"), [P("x^2"), P("x y")], LEX) == P("y^3")
 
 
+def test_normal_form_leaves_its_input_unchanged():
+    f = P("x^2 y + x y^2 + y^3 + 1")
+    before = dict(f.terms)
+    r = normal_form(f, [P("x y + y^2"), P("y^3 - x")], LEX)
+    assert f.terms == before
+    assert r.terms is not f.terms
+
+
 def test_s_polynomial():
     # y*(x^2) - x*(xy + y^2), the cancellation leaves -x y^2
     s = s_polynomial(P("x^2"), P("x y + y^2"), LEX)

@@ -6,7 +6,6 @@ from gradedcones.intlinalg import (
     hermite_normal_form,
     integer_kernel,
     lattice_index,
-    lattice_membership_matrix,
     rank,
     smith_invariants,
 )
@@ -110,9 +109,9 @@ def test_lattice_index_not_contained():
         raise AssertionError("non-sublattice must be rejected")
 
 
-def test_lattice_membership_matrix_detects_equality():
+def test_hermite_normal_form_detects_lattice_equality():
     a = [[1, 2], [3, 4]]
     b = [[4, 6], [1, 2]]  # row ops of a
-    assert lattice_membership_matrix(a) == lattice_membership_matrix(b)
+    assert hermite_normal_form(a) == hermite_normal_form(b)
     c = [[2, 4], [6, 8]]
-    assert lattice_membership_matrix(a) != lattice_membership_matrix(c)
+    assert hermite_normal_form(a) != hermite_normal_form(c)

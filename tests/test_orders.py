@@ -62,6 +62,7 @@ def test_order_multiplicative_and_total():
         TermOrder.degrevlex(),
         TermOrder.weighted((2, 1, 3), TermOrder.lex()),
         TermOrder.elimination({1}, TermOrder.degrevlex()),
+        TermOrder.product(TermOrder.degrevlex(), 2, TermOrder.lex()),
     ]
     for o in orders:
         for _ in range(60):
