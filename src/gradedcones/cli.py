@@ -30,6 +30,7 @@ from .errors import (
     NotHomogeneousError,
     ParseFailure,
     Rejection,
+    ResourceLimitError,
 )
 from .grading import GradingMap, PositivityWitness
 from .ideals import IdealPresentation, krull_dimension
@@ -97,6 +98,9 @@ def _diagnostics(err: GradedConesError) -> dict:
         out["certificate"] = list(err.certificate)
     if isinstance(err, NoRationalPointError):
         out["supports"] = [list(s) for s in err.supports]
+    if isinstance(err, ResourceLimitError):
+        for name in ("processed", "pending", "basis_size", "limit"):
+            out[name] = getattr(err, name)
     return out
 
 

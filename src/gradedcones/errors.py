@@ -76,7 +76,11 @@ class NoRationalPointError(Rejection):
 
 
 class ResourceLimitError(GradedConesError):
-    """Pair-queue cap exceeded during a Groebner basis run."""
+    """Pair-queue cap exceeded during a Groebner basis run.
+
+    processed counts the pairs taken from the queue, pending the queued
+    pairs still live, basis_size the elements added to the basis so far.
+    """
 
     def __init__(self, processed: int, pending: int, basis_size: int, limit: int):
         super().__init__(

@@ -1,11 +1,30 @@
 """Buchberger's algorithm with deterministic output.
 
-Pair selection follows the normal strategy: the pending pair with the
-smallest lcm under the active order is processed next, ties broken by the
-generator index pair.  The product (coprime-lcm) and chain criteria discard
-useless pairs.  The final basis is interreduced and monic, which makes it
-the unique reduced Groebner basis of the ideal; elements are listed in
-descending leading-term order.
+Pair bookkeeping is the Gebauer-Moeller update (Gebauer and Moeller,
+J. Symbolic Comput. 6, 1988; the UPDATE procedure of Becker and
+Weispfenning, Groebner Bases, 1993, section 5.5).  When an element h joins
+the basis:
+
+  * its pairs are formed only with the active set G, the elements whose
+    leading term no later leading term divides;
+  * a new pair whose lcm is a proper multiple of another new pair's lcm is
+    dropped, and of several new pairs with equal lcms one is kept;
+  * a pair with coprime leading terms is never queued (its S-polynomial
+    reduces to zero), though it still drops the new pairs its lcm divides;
+  * a queued pair (a, b) is deleted when lead(h) divides lcm(a, b) and
+    lcm(a, b) differs from both lcm(a, h) and lcm(b, h);
+  * every element of G whose leading term lead(h) divides leaves G.
+
+S-polynomials are reduced against G.  Pair selection follows the normal
+strategy: the live pair with the smallest lcm under the active order is
+processed next, ties broken by the generator index pair; deleted pairs stay
+in the heap and are skipped when popped.  stats["pairs_processed"] counts
+the pairs popped and not deleted.  Each element's leading exponent is
+computed once, when it joins the basis, and handed to s_polynomial and
+normal_form.  The
+final basis is interreduced and monic, which makes it the unique reduced
+Groebner basis of the ideal; elements are listed in descending leading-term
+order.
 
 The number of processed pairs is capped to keep runaway inputs from hanging
 a session; the cap is read from the environment (see DEFAULT_PAIR_LIMIT).
@@ -39,24 +58,31 @@ def pair_limit() -> int:
     return value
 
 
-def normal_form(f: Polynomial, basis, order: TermOrder) -> Polynomial:
+def normal_form(f: Polynomial, basis, order: TermOrder, leads=None) -> Polynomial:
     """Remainder of f under division by basis.
 
     Deterministic: at each step the greatest reducible term is cancelled
     using the first basis element (in stored order) whose leading term
     divides it.  The result has no term divisible by any basis leading term.
     f itself is not mutated; the division runs on a copy of its terms.
+
+    leads, when given, are the leading exponents of basis under order, one
+    per element, as the caller already holds them; basis then must not
+    contain the zero polynomial.  Without leads they are computed here,
+    skipping zero elements.
     """
-    basis = [g for g in basis if not g.is_zero()]
+    if leads is None:
+        basis = [g for g in basis if not g.is_zero()]
+        leads = [order.leading_exponent(g) for g in basis]
     if not basis:
         return f
-    leads = [(order.leading_exponent(g), g) for g in basis]
+    reducers = list(zip(leads, basis))
     remainder: dict[Exponent, Fraction] = {}
     p = dict(f.terms)
     while p:
         e = max(p, key=order.key)
         c = p.pop(e)
-        for le, g in leads:
+        for le, g in reducers:
             if exp_divides(le, e):
                 # p -= q x^shift g; g's leading term would cancel the popped c
                 q = c / g.terms[le]
@@ -75,28 +101,45 @@ def normal_form(f: Polynomial, basis, order: TermOrder) -> Polynomial:
     return Polynomial(f.ring, remainder)
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
-    lf, lg = order.leading_exponent(f), order.leading_exponent(g)
+def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder, leads=None) -> Polynomial:
+    """x^(l - lead f) f / lc(f) - x^(l - lead g) g / lc(g), l the lcm of the leads.
+
+    leads, when given, is the pair (lead f, lead g) of leading exponents
+    under order, as the caller already holds them.
+    """
+    lf, lg = leads if leads is not None else (order.leading_exponent(f), order.leading_exponent(g))
     lcm = exp_lcm(lf, lg)
-    mf = f.ring.monomial(exp_sub(lcm, lf), 1 / order.leading_coefficient(f))
-    mg = f.ring.monomial(exp_sub(lcm, lg), 1 / order.leading_coefficient(g))
-    return mf * f - mg * g
+    terms: dict[Exponent, Fraction] = {}
+    # the leading terms cancel, so only the tails are shifted and combined
+    for poly, le, sign in ((f, lf, 1), (g, lg, -1)):
+        q = sign / poly.terms[le]
+        shift = exp_sub(lcm, le)
+        for e, c in poly.terms.items():
+            if e != le:
+                t = exp_add(e, shift)
+                s = terms.get(t, 0) + q * c
+                if s:
+                    terms[t] = s
+                else:
+                    del terms[t]
+    return Polynomial(f.ring, terms)
 
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced Groebner basis together with the order that defines it."""
+    """A reduced Groebner basis together with the order that defines it.
+
+    leads holds each element's leading exponent, in the order of elements.
+    """
 
     ring: PolyRing
     order: TermOrder
     elements: tuple[Polynomial, ...]
+    leads: tuple[Exponent, ...]
     stats: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def leading_exponents(self) -> tuple[Exponent, ...]:
-        return tuple(self.order.leading_exponent(g) for g in self.elements)
-
     def normal_form(self, f: Polynomial) -> Polynomial:
-        return normal_form(f, self.elements, self.order)
+        return normal_form(f, self.elements, self.order, self.leads)
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()
@@ -119,77 +162,89 @@ def buchberger(
     if not gens:
         if ring is None:
             raise ValueError("empty generator list needs an explicit ring")
-        return GroebnerBasis(ring, order, ())
+        return GroebnerBasis(ring, order, (), ())
     ring = gens[0].ring
     cap = pair_limit() if limit is None else limit
 
-    basis = [order.monic(g) for g in gens]
-    leads = [order.leading_exponent(g) for g in basis]
+    basis: list[Polynomial] = []
+    leads: list[Exponent] = []
+    active: list[int] = []  # G: the elements no later leading term divides
+    live: dict[tuple[int, int], Exponent] = {}  # queued pairs not deleted yet, with their lcms
+    heap: list = []  # (lcm key, i, j); deleted pairs are skipped when popped
+    reducers: list[Polynomial] = []  # the elements of G, and their leads
+    reducer_leads: list[Exponent] = []
 
-    pending: set[tuple[int, int]] = set()
-    heap: list = []
+    def add(g: Polynomial) -> None:
+        # the Gebauer-Moeller update for the new element g, made monic
+        k = len(basis)
+        h = order.leading_exponent(g)
+        basis.append(g * (1 / g.terms[h]))
+        leads.append(h)
+        # a queued pair whose lcm h divides is redundant, unless the lcm
+        # equals the lcm of one of its sides with h
+        for (i, j), lcm in list(live.items()):
+            if exp_divides(h, lcm) and lcm != exp_lcm(leads[i], h) and lcm != exp_lcm(leads[j], h):
+                del live[i, j]
+        # new pairs with G by ascending lcm degree, so a proper divisor of an
+        # lcm comes before it, and coprime ones first among equal lcms; a pair
+        # goes when an earlier kept lcm divides its lcm, and coprime pairs are
+        # kept only to delete others this way
+        new = []
+        for i in active:
+            lcm = exp_lcm(leads[i], h)
+            new.append((sum(lcm), lcm != exp_add(leads[i], h), i, lcm))
+        new.sort()
+        kept: list[Exponent] = []
+        for _, useful, i, lcm in new:
+            if any(exp_divides(m, lcm) for m in kept):
+                continue
+            kept.append(lcm)
+            if useful:
+                heapq.heappush(heap, (order.key(lcm), i, k))
+                live[i, k] = lcm
+        active[:] = [i for i in active if not exp_divides(h, leads[i])]
+        active.append(k)
+        reducers[:] = [basis[i] for i in active]
+        reducer_leads[:] = [leads[i] for i in active]
 
-    def push_pairs(j: int):
-        # a pair holds no lcm: it is recomputed on pop, saving memory per pair
-        for i in range(j):
-            heapq.heappush(heap, (order.key(exp_lcm(leads[i], leads[j])), i, j))
-            pending.add((i, j))
-
-    for j in range(len(basis)):
-        push_pairs(j)
+    for g in gens:
+        add(g)
 
     processed = 0
     while heap:
         _, i, j = heapq.heappop(heap)
-        lcm = exp_lcm(leads[i], leads[j])
-        pending.discard((i, j))
+        if live.pop((i, j), None) is None:
+            continue
         processed += 1
         if processed > cap:
-            raise ResourceLimitError(processed, len(heap), len(basis), cap)
-        # product criterion: coprime leading terms reduce to zero
-        if lcm == exp_add(leads[i], leads[j]):
-            continue
-        # chain criterion: a third element divides the lcm and both side
-        # pairs are settled already
-        if _chain_applies(i, j, lcm, leads, pending):
-            continue
-        s = s_polynomial(basis[i], basis[j], order)
-        r = normal_form(s, basis, order)
-        if r.is_zero():
-            continue
-        basis.append(order.monic(r))
-        leads.append(order.leading_exponent(r))
-        push_pairs(len(basis) - 1)
+            raise ResourceLimitError(processed, len(live), len(basis), cap)
+        s = s_polynomial(basis[i], basis[j], order, (leads[i], leads[j]))
+        r = normal_form(s, reducers, order, reducer_leads)
+        if not r.is_zero():
+            add(r)
 
-    reduced = _interreduce(basis, order)
-    reduced.sort(key=lambda g: order.key(order.leading_exponent(g)), reverse=True)
-    stats = {"pairs_processed": processed, "basis_size": len(reduced)}
-    return GroebnerBasis(ring, order, tuple(reduced), stats)
+    elements, element_leads = _interreduce(reducers, reducer_leads, order)
+    stats = {"pairs_processed": processed, "basis_size": len(elements)}
+    return GroebnerBasis(ring, order, elements, element_leads, stats)
 
 
-def _chain_applies(i, j, lcm, leads, pending) -> bool:
-    for k in range(len(leads)):
-        if k == i or k == j:
-            continue
-        if not exp_divides(leads[k], lcm):
-            continue
-        a = (min(i, k), max(i, k))
-        b = (min(j, k), max(j, k))
-        if a not in pending and b not in pending:
-            return True
-    return False
+def _interreduce(basis, leads, order: TermOrder):
+    """The reduced basis and its leads, descending by leading term.
 
-
-def _interreduce(basis, order: TermOrder) -> list[Polynomial]:
+    basis is a Groebner basis of monic elements with the given leads.
+    """
     # drop elements whose leading term another element's leading term divides
-    basis = sorted(basis, key=lambda g: order.key(order.leading_exponent(g)))
-    minimal: list[Polynomial] = []
-    for g in basis:
-        le = order.leading_exponent(g)
-        if not any(exp_divides(order.leading_exponent(h), le) for h in minimal):
-            minimal.append(g)
+    ranked = sorted(zip(leads, basis), key=lambda t: order.key(t[0]))
+    minimal: list[tuple[Exponent, Polynomial]] = []
+    for le, g in ranked:
+        if not any(exp_divides(m, le) for m, _ in minimal):
+            minimal.append((le, g))
     # the leading terms are fixed from here on, so one pass of tail
-    # reduction against the other elements yields the reduced basis
-    for i, g in enumerate(minimal):
-        minimal[i] = order.monic(normal_form(g, minimal[:i] + minimal[i + 1 :], order))
-    return minimal
+    # reduction against the other elements yields the reduced basis; a lead
+    # no other lead divides stays in the remainder with coefficient 1
+    ml = [le for le, _ in minimal]
+    mp = [g for _, g in minimal]
+    reduced = [
+        normal_form(g, mp[:i] + mp[i + 1 :], order, ml[:i] + ml[i + 1 :]) for i, g in enumerate(mp)
+    ]
+    return tuple(reversed(reduced)), tuple(reversed(ml))

@@ -167,7 +167,7 @@ def krull_dimension(a: IdealPresentation, order: TermOrder | None = None) -> int
     if gb.is_unit_ideal():
         raise ImproperIdealError("the unit ideal has no Krull dimension")
     supports = []
-    for e in gb.leading_exponents():
+    for e in gb.leads:
         supports.append(frozenset(i for i, x in enumerate(e) if x))
     # remove supersets, they are hit automatically
     supports = [s for s in supports if not any(t < s for t in supports)]

@@ -228,6 +228,8 @@ def stratum_ideal(scheme: TailScheme) -> StratumResult:
         return Polynomial(combined, terms)
 
     markers = [marker(h) for h in range(len(scheme.heads))]
+    # under the block order below every marker's leading term is its head
+    marker_leads = [head + (0,) * cring.nvars for head in scheme.heads]
 
     pair_order = sorted(
         (
@@ -237,13 +239,13 @@ def stratum_ideal(scheme: TailScheme) -> StratumResult:
         )
     )
     clex = TermOrder.lex()
-    # under this block order every marker's leading term is its head
     reduction_order = TermOrder.product(order, s, clex)
     generators: list[Polynomial] = []
     seen: set = set()
     for _, i, j in pair_order:
-        spoly = s_polynomial(markers[i], markers[j], reduction_order)
-        remainder = normal_form(spoly, markers, reduction_order)
+        leads = (marker_leads[i], marker_leads[j])
+        spoly = s_polynomial(markers[i], markers[j], reduction_order, leads)
+        remainder = normal_form(spoly, markers, reduction_order, marker_leads)
         buckets: dict[Exponent, dict[Exponent, Fraction]] = {}
         for e, c in remainder.terms.items():
             buckets.setdefault(e[:s], {})[e[s:]] = c

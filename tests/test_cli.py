@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 
 import pytest
 
@@ -240,7 +241,15 @@ def test_pair_limit_env_var(run):
     code, out = run(["gb", "--json"], doc=doc, env={"GRADEDCONES_PAIR_LIMIT": "1"})
     assert code == 1
     report = json.loads(out)
-    assert report["diagnostics"]["error"] == "ResourceLimitError"
+    diagnostics = report["diagnostics"]
+    assert diagnostics["error"] == "ResourceLimitError"
+    assert diagnostics["limit"] == 1
+    assert diagnostics["processed"] == 2
+    assert diagnostics["pending"] == 0 and diagnostics["basis_size"] == 3
+    assert diagnostics["message"] == (
+        "pair limit exceeded: processed %(processed)d pairs, %(pending)d pending, "
+        "basis size %(basis_size)d (limit %(limit)d)" % diagnostics
+    )
 
 
 def test_missing_declarations_are_rejections(run):
@@ -248,3 +257,43 @@ def test_missing_declarations_are_rejections(run):
     assert code == 1  # no grading
     code, out = run(["orbit-dim", "--json"], doc=EXAMPLE.replace("point P = (1, 1, 1, -1/2) ;\n", ""))
     assert code == 1  # no point
+
+
+TWELVE_VARIABLES = """\
+ring y1 y2 y3 y4 y5 y6 y7 y8 y9 y10 y11 y12 ;
+grading [[0,3,2],[1,1,3],[3,3,2],[1,2,2],[0,3,3],[3,2,0],[0,2,3],[2,2,0],[0,1,2],[2,2,0],[0,3,3],[2,0,2]] ;
+ideal F = y1 y12, y2 y12 ;
+point P = (0, 2, 0, 1/2, 0, -2, 1/2, 0, 0, 3, 0, -2) ;
+"""
+
+
+def test_orbit_closure_in_twelve_variables_within_budget(run):
+    # six saturations of a binomial ideal in 12 variables; without the
+    # Gebauer-Moeller pair update this ran for more than 30 s
+    start = time.perf_counter()
+    code, out = run(["orbit-closure", "--point", "P", "--json"], doc=TWELVE_VARIABLES)
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["dimension"] == 3
+    assert result["generators"] == [
+        "y1",
+        "y2^8*y4^2 + 128*y7^6*y12^5",
+        "y2^8*y6 - 512*y4*y7^4*y12^5",
+        "3*y2^6*y4*y6 + 64*y7^4*y10*y12^4",
+        "9*y2^4*y6^2 + 32*y7^2*y10^2*y12^3",
+        "27*y2^2*y4^2*y6^2 - 4*y7^2*y10^3*y12^2",
+        "27*y2^2*y6^3 + 16*y4*y10^3*y12^2",
+        "y2^2*y10 + 24*y4^2*y12",
+        "y3",
+        "4*y4^3 + y6*y7^2",
+        "8*y4^2*y10^4*y12 + 81*y6^4*y7^2",
+        "81*y4*y6^3 - 2*y10^4*y12",
+        "16*y4*y10^8*y12^2 + 6561*y6^7*y7^2",
+        "y5",
+        "531441*y6^10*y7^2 + 32*y10^12*y12^3",
+        "y8",
+        "y9",
+        "y11",
+    ]
+    assert elapsed < 8.0, f"orbit closure blew its 8 s budget: {elapsed:.2f}s"

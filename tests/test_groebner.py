@@ -1,11 +1,13 @@
 """Buchberger, normal forms, and the pair-queue cap."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from gradedcones import (
     PolyRing,
+    Polynomial,
     ResourceLimitError,
     TermOrder,
     buchberger,
@@ -120,6 +122,7 @@ def test_pair_limit_cap():
     with pytest.raises(ResourceLimitError) as info:
         buchberger(gens, LEX, limit=1)
     assert info.value.limit == 1
+    assert info.value.processed == info.value.limit + 1
 
 
 def test_pair_limit_env(monkeypatch):
@@ -133,3 +136,56 @@ def test_basis_sorted_descending_by_leading_term():
     gb = buchberger([P("y^3"), P("x^2"), P("x y + y^2")], LEX)
     leads = [LEX.leading_exponent(g) for g in gb.elements]
     assert leads == sorted(leads, key=LEX.key, reverse=True)
+
+
+# -- differential test against sympy -------------------------------------------------
+
+NAMES = ("x", "y", "z", "w")
+
+
+def _random_ideal(rng):
+    """2-4 variables, 2-4 generators of 1-3 terms, degree <= 3, small integers."""
+    n = rng.randint(2, 4)
+    ring = PolyRing(NAMES[:n])
+    gens = []
+    for _ in range(rng.randint(2, 4)):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            e = [0] * n
+            for _ in range(rng.randint(0, 3)):
+                e[rng.randrange(n)] += 1
+            terms[tuple(e)] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+        gens.append(Polynomial(ring, terms))
+    return gens
+
+
+def _sympy_basis(sympy, gens, order_name, order):
+    """sympy's reduced basis as sets of terms, made monic under our order."""
+    syms = sympy.symbols(gens[0].ring.names)
+    polys = []
+    for g in gens:
+        terms = {e: sympy.Rational(c.numerator, c.denominator) for e, c in g.terms.items()}
+        polys.append(sympy.Poly.from_dict(terms, *syms))
+    basis = set()
+    for poly in sympy.groebner(polys, *syms, order=order_name, domain="QQ").polys:
+        terms = {e: Fraction(int(c.p), int(c.q)) for e, c in poly.terms()}
+        lc = terms[max(terms, key=order.key)]
+        basis.add(frozenset((e, c / lc) for e, c in terms.items()))
+    return basis
+
+
+def test_reduced_bases_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20090121)
+    r3 = PolyRing(NAMES[:3])
+    ideals = [_random_ideal(rng) for _ in range(40)] + [
+        # x^2 y^2 - 1 meets x^2 and y^2 in two new pairs with equal lcms
+        [r3.parse("x^2 - z"), r3.parse("y^2 - z"), r3.parse("x^2 y^2 - 1")],
+        # pairwise coprime leading terms under both orders
+        [r3.parse("x^2 - y"), r3.parse("y^2 - z"), r3.parse("z^2 - 1")],
+    ]
+    for gens in ideals:
+        for name, order in (("lex", TermOrder.lex()), ("grevlex", TermOrder.degrevlex())):
+            gb = buchberger(gens, order)
+            ours = {frozenset(g.terms.items()) for g in gb.elements}
+            assert ours == _sympy_basis(sympy, gens, name, order), (name, gens)
