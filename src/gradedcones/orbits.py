@@ -7,10 +7,11 @@ lattice rank of the support columns, and its closure is cut out by binomials
 coming from the integer kernel of the support columns (saturated by the
 support coordinates) plus the vanishing coordinates.
 
-Also here: the union of coordinate subspaces where the orbit dimension
-drops below a bound, the largest orbit dimension on a cone, a rational
-search for one-dimensional orbits, cross-section charts, and the rational
-curves that witness every point's connection to the origin.
+Also here: the union of coordinate subspaces where the orbit dimension is
+at most a bound (the flats of that rank in the column matroid), the
+largest orbit dimension on a cone, a rational search for one-dimensional
+orbits, cross-section charts, and the rational curves that witness every
+point's connection to the origin.
 """
 
 from __future__ import annotations
@@ -200,25 +201,35 @@ def low_orbit_stratum(grading: GradingMap, mu0: int) -> CoordinateSubspaceUnion:
     coordinate subspaces given by their maximal supports.
 
     Orbit dimension only depends on the support and grows with it, so the
-    union is described by the maximal supports of column rank <= mu0; the
-    empty support (the origin alone) appears when nothing bigger qualifies.
+    union is described by the maximal supports of column rank <= mu0.  If
+    all columns together have rank <= mu0 that is the whole space.
+    Otherwise every maximal support has rank exactly mu0 and is closed
+    (adding any other coordinate raises the rank): the maximal supports are
+    the rank-mu0 flats of the column matroid, each the closure of any mu0
+    independent columns inside it.  The mu0-subsets are tried in
+    lexicographic order, skipping those inside a flat already found and
+    those with dependent columns, so at most C(n, mu0) * n rank checks run.
+    For mu0 = 0 the one flat is the set of zero columns, which is the empty
+    support (the origin alone) when there are none.
     """
     if mu0 < 0:
         raise ValueError("the orbit-dimension bound must be nonnegative")
     n = grading.ring.nvars
     if n > 20:
         raise ValueError("subset enumeration is limited to 20 variables")
-    kept: list[tuple[int, ...]] = []
-    for size in range(n, -1, -1):
-        for combo in combinations(range(n), size):
-            cs = set(combo)
-            if any(cs <= set(big) for big in kept):
-                continue
-            cols = [list(grading.columns[i]) for i in combo]
-            if intlinalg.rank(cols) <= mu0:
-                kept.append(combo)
-    kept.sort(key=lambda s: (-len(s), s))
-    return CoordinateSubspaceUnion(bound=mu0, components=tuple(kept))
+    cols = [list(c) for c in grading.columns]
+    if intlinalg.rank(cols) <= mu0:
+        return CoordinateSubspaceUnion(bound=mu0, components=(tuple(range(n)),))
+    flats: list[tuple[int, ...]] = []
+    for basis in combinations(range(n), mu0):
+        if any(set(basis).issubset(flat) for flat in flats):
+            continue
+        hermite = intlinalg.hermite_normal_form([cols[i] for i in basis])
+        if len(hermite) < mu0:
+            continue  # dependent columns span a smaller flat
+        flats.append(tuple(i for i in range(n) if intlinalg.rank(hermite + [cols[i]]) == mu0))
+    flats.sort(key=lambda s: (-len(s), s))
+    return CoordinateSubspaceUnion(bound=mu0, components=tuple(flats))
 
 
 def nonvanishing_coordinates(cone: HomogeneousIdeal) -> tuple[int, ...]:

@@ -1,8 +1,11 @@
 """Torus orbits: dimensions, closures, low-dimension strata, cross-sections, curves."""
 
 import random
+import time
 from fractions import Fraction
+from itertools import combinations
 
+from gradedcones import intlinalg
 from gradedcones.cones import homogeneous_ideal, singular_locus
 from gradedcones.errors import (
     DependentColumnsError,
@@ -134,6 +137,60 @@ def test_low_orbit_stratum_is_monotone():
             big = low_orbit_stratum(g, mu0 + 1).components
             for s in small:
                 assert any(set(s) <= set(t) for t in big)
+
+
+def _all_supports_stratum(grading, mu0):
+    """Oracle: every support, largest first, kept when no kept one contains it."""
+    n = grading.ring.nvars
+    kept: list[tuple[int, ...]] = []
+    for size in range(n, -1, -1):
+        for combo in combinations(range(n), size):
+            cs = set(combo)
+            if any(cs <= set(big) for big in kept):
+                continue
+            cols = [list(grading.columns[i]) for i in combo]
+            if intlinalg.rank(cols) <= mu0:
+                kept.append(combo)
+    kept.sort(key=lambda s: (-len(s), s))
+    return tuple(kept)
+
+
+def test_low_orbit_stratum_matches_all_supports():
+    rng = random.Random(5120)
+    for _ in range(300):
+        n, m = rng.randint(1, 9), rng.randint(1, 4)
+        ring = PolyRing(tuple(f"z{i}" for i in range(n)))
+        entries = (0, 0, 1, -1, 2, 3)
+        g = GradingMap(ring, [[rng.choice(entries) for _ in range(m)] for _ in range(n)])
+        cols = [list(c) for c in g.columns]
+        mu0 = rng.randint(0, m + 1)
+        components = low_orbit_stratum(g, mu0).components
+        assert components == _all_supports_stratum(g, mu0), (g.columns, mu0)
+        for s in components:
+            if len(s) == n:
+                continue
+            # a flat: rank mu0, and every other coordinate raises the rank
+            assert intlinalg.rank([cols[i] for i in s]) == mu0
+            for i in set(range(n)) - set(s):
+                assert intlinalg.rank([cols[j] for j in s] + [cols[i]]) == mu0 + 1
+
+
+def test_low_orbit_stratum_at_the_cap_within_budget():
+    # 20 variables, the cap: columns on the three coordinate axes, with two
+    # multiples of the axis vector on each of the first two
+    ring = PolyRing(tuple(f"w{i}" for i in range(20)))
+    x, y, z = range(0, 7), range(7, 14), range(14, 20)
+    g = GradingMap(
+        ring,
+        [(1, 0, 0)] * 4 + [(2, 0, 0)] * 3 + [(0, 1, 0)] * 4 + [(0, 3, 0)] * 3 + [(0, 0, 1)] * 6,
+    )
+    start = time.perf_counter()
+    assert low_orbit_stratum(g, 0).components == ((),)
+    assert low_orbit_stratum(g, 1).components == (tuple(x), tuple(y), tuple(z))
+    assert low_orbit_stratum(g, 2).components == ((*x, *y), (*x, *z), (*y, *z))
+    assert low_orbit_stratum(g, 3).components == (tuple(range(20)),)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"stratum at the cap blew its 1 s budget: {elapsed:.2f}s"
 
 
 def test_nonvanishing_and_max_dimension():
