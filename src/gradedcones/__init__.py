@@ -4,8 +4,7 @@ Everything is rational arithmetic on sparse exponent dictionaries; there is
 no floating point anywhere.  The main entry points:
 
   rings / orders        polynomials and term orders
-  groebner / ideals     Buchberger, elimination, intersection, saturation,
-                        Krull dimension
+  groebner / ideals     Buchberger, elimination, saturation, Krull dimension
   grading / cones       multigradings, positivity, homogeneous ideals,
                         minimal embeddings, smoothness, singular loci
   orbits                torus orbits: dimensions, closures, strata,
@@ -31,12 +30,9 @@ from .groebner import GroebnerBasis, buchberger, normal_form, s_polynomial
 from .ideals import (
     IdealPresentation,
     eliminate,
-    ideal_intersection,
-    ideal_product,
     ideal_sum,
     krull_dimension,
     saturate,
-    saturate_by_variables,
 )
 from .grading import (
     GradingMap,

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import ImproperIdealError, NonPositiveGradingError, NotHomogeneousError
-from .grading import Degree, GradingMap, NonPositivityCertificate
+from .errors import ImproperIdealError, NotHomogeneousError
+from .grading import Degree, GradingMap
 from .ideals import IdealPresentation, krull_dimension
 from .orders import TermOrder
 from .rings import Polynomial
@@ -51,11 +51,7 @@ def homogeneous_ideal(generators, grading: GradingMap) -> HomogeneousIdeal:
     and its component degrees), and the unit ideal.  Zero generators are
     dropped; no generators at all is the zero ideal, which is fine.
     """
-    w = grading.positivity()
-    if isinstance(w, NonPositivityCertificate):
-        raise NonPositiveGradingError(
-            "grading admits a nonconstant monomial of degree zero", w.alpha
-        )
+    grading.require_positive()
     base = IdealPresentation(grading.ring, generators)
     degrees = []
     for i, g in enumerate(base.generators):

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import intlinalg, ratlp
-from .errors import NotHomogeneousError
+from .errors import NonPositiveGradingError, NotHomogeneousError
 from .orders import TermOrder
 from .rings import Exponent, PolyRing, Polynomial
 
@@ -143,12 +143,20 @@ class GradingMap:
         w = self.positivity()
         return w if isinstance(w, PositivityWitness) else None
 
+    def require_positive(self) -> PositivityWitness:
+        """The positivity witness; a non-positive grading is rejected with
+        its certificate."""
+        w = self.positivity()
+        if isinstance(w, NonPositivityCertificate):
+            raise NonPositiveGradingError(
+                "grading admits a nonconstant monomial of degree zero", w.alpha
+            )
+        return w
+
     def induced_order(self, tiebreak: TermOrder | None = None) -> TermOrder:
         """Weighted order from the positivity witness; requires positivity."""
         w = self.witness()
         if w is None:
-            from .errors import NonPositiveGradingError
-
             raise NonPositiveGradingError(
                 "grading is not positive, no induced order exists",
                 self.positivity().alpha,

@@ -1,13 +1,16 @@
 """Ideal presentations and the classical ideal operations.
 
 An IdealPresentation is a generator list plus a per-order cache of reduced
-Groebner bases.  The zero ideal is the empty generator tuple.  Operations
-that need an auxiliary variable (intersection, saturation) build a temporary
-extended ring, eliminate, and map the result back; nothing here requires the
-ideal to be graded.
+Groebner bases.  The zero ideal is the empty generator tuple.  Every
+operation runs in the ideal's own ring: elimination through a block order,
+and saturation by coordinates, which needs the ideal homogeneous for
+strictly positive weights, through a weight order that puts the coordinate
+last.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from .errors import ImproperIdealError
 from .groebner import GroebnerBasis, buchberger
@@ -74,33 +77,6 @@ def ideal_sum(a: IdealPresentation, b: IdealPresentation) -> IdealPresentation:
     return IdealPresentation(a.ring, a.generators + b.generators)
 
 
-def ideal_product(a: IdealPresentation, b: IdealPresentation) -> IdealPresentation:
-    if a.ring != b.ring:
-        raise ValueError("mixed rings")
-    gens = [f * g for f in a.generators for g in b.generators]
-    return IdealPresentation(a.ring, gens)
-
-
-def _extended(a: IdealPresentation, stem: str):
-    """a's ring with one fresh variable appended; returns (ring, lift map, aux index)."""
-    ring = a.ring
-    big = ring.extend([ring.fresh_name(stem)])
-    where = list(range(ring.nvars))
-    return big, where, ring.nvars
-
-
-def _back(big_ring: PolyRing, small_ring: PolyRing, polys, aux_positions) -> list[Polynomial]:
-    where: list[int | None] = []
-    j = 0
-    for i in range(big_ring.nvars):
-        if i in aux_positions:
-            where.append(None)
-        else:
-            where.append(j)
-            j += 1
-    return [p.map_variables(small_ring, where) for p in polys]
-
-
 def eliminate(a: IdealPresentation, variables) -> IdealPresentation:
     """Generators of the elimination ideal a ∩ k[remaining variables].
 
@@ -119,39 +95,39 @@ def eliminate(a: IdealPresentation, variables) -> IdealPresentation:
     return IdealPresentation(a.ring, kept)
 
 
-def ideal_intersection(a: IdealPresentation, b: IdealPresentation) -> IdealPresentation:
-    """a ∩ b through the one-auxiliary-variable trick: eliminate t from t*a + (1-t)*b."""
-    if a.ring != b.ring:
-        raise ValueError("mixed rings")
-    big, where, aux = _extended(a, "t_")
-    t = big.variable(aux)
-    one_minus_t = big.one() - t
-    gens = [t * g.map_variables(big, where) for g in a.generators]
-    gens += [one_minus_t * g.map_variables(big, where) for g in b.generators]
-    mixed = IdealPresentation(big, gens)
-    elim = eliminate(mixed, {aux})
-    return IdealPresentation(a.ring, _back(big, a.ring, elim.generators, {aux}))
+def saturate(a: IdealPresentation, variables, weights) -> IdealPresentation:
+    """The saturation of a by the named coordinates, (a : (prod x_i)^inf).
 
-
-def saturate(a: IdealPresentation, f: Polynomial) -> IdealPresentation:
-    """The saturation (a : f^inf), computed by inverting f with a fresh variable."""
-    if f.ring != a.ring:
-        raise ValueError("mixed rings")
-    if f.is_zero():
-        raise ValueError("cannot saturate by zero")
-    big, where, aux = _extended(a, "z_")
-    z = big.variable(aux)
-    gens = [g.map_variables(big, where) for g in a.generators]
-    gens.append(z * f.map_variables(big, where) - big.one())
-    elim = eliminate(IdealPresentation(big, gens), {aux})
-    return IdealPresentation(a.ring, _back(big, a.ring, elim.generators, {aux}))
-
-
-def saturate_by_variables(a: IdealPresentation, variables) -> IdealPresentation:
-    """Saturate successively by each named coordinate; order does not matter."""
+    a must be homogeneous for the weights, one strictly positive integer
+    per variable.  For each i in ascending order the reduced basis under the
+    order that compares weight first and then prefers the least x_i exponent
+    is divided elementwise by the largest power of x_i dividing it (Bayer and
+    Stillman, Invent. Math. 87, 1987; Sturmfels, Groebner Bases and Convex
+    Polytopes, ch. 12).  On a homogeneous polynomial that order makes the
+    leading term's x_i exponent the least among its terms, so the quotients
+    generate a : x_i^inf.
+    """
+    n = a.ring.nvars
+    variables = sorted(variables)
+    weights = tuple(weights)
+    if len(weights) != n or any(w <= 0 for w in weights):
+        raise ValueError("saturation needs a strictly positive weight per variable")
+    if not all(0 <= i < n for i in variables):
+        raise ValueError("variable index out of range")
+    for g in a.generators:
+        if len({sum(map(mul, weights, e)) for e in g.terms}) != 1:
+            raise ArithmeticError("generator is not homogeneous for the saturation weights")
+    if not a.generators:
+        return a
     out = a
-    for i in sorted(variables):
-        out = saturate(out, a.ring.variable(i))
+    for i in variables:
+        least_xi = TermOrder.weighted([-1 if j == i else 0 for j in range(n)], TermOrder.degrevlex())
+        gens = []
+        for g in out.groebner(TermOrder.weighted(weights, least_xi)).elements:
+            k = min(e[i] for e in g.terms)
+            terms = {e[:i] + (e[i] - k,) + e[i + 1 :]: c for e, c in g.terms.items()}
+            gens.append(Polynomial(a.ring, terms))
+        out = IdealPresentation(a.ring, gens)
     return out
 
 

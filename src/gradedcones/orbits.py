@@ -36,7 +36,6 @@ from .ideals import (
     ideal_sum,
     krull_dimension,
     saturate,
-    saturate_by_variables,
 )
 from .orders import TermOrder
 from .rings import PolyRing, Polynomial
@@ -146,6 +145,7 @@ def orbit_closure_ideal(p: RationalPoint, grading: GradingMap) -> HomogeneousIde
     """
     if p.ring != grading.ring:
         raise ValueError("point and grading live on different rings")
+    weights = grading.require_positive().dots
     ring = grading.ring
     info = orbit_dimension(p, grading)
     support = info.support
@@ -169,9 +169,7 @@ def orbit_closure_ideal(p: RationalPoint, grading: GradingMap) -> HomogeneousIde
             gens.append(
                 ring.monomial(tuple(plus), aminus) - ring.monomial(tuple(minus), aplus)
             )
-    pres = IdealPresentation(ring, gens)
-    if gens:
-        pres = saturate_by_variables(pres, support)
+    pres = saturate(IdealPresentation(ring, gens), support, weights)
     off = [ring.variable(j) for j in range(ring.nvars) if j not in support]
     pres = ideal_sum(pres, IdealPresentation(ring, off))
 
@@ -234,11 +232,10 @@ def low_orbit_stratum(grading: GradingMap, mu0: int) -> CoordinateSubspaceUnion:
 
 def nonvanishing_coordinates(cone: HomogeneousIdeal) -> tuple[int, ...]:
     """Variables that do not vanish identically on the cone."""
-    out = []
-    for i in range(cone.ring.nvars):
-        if saturate(cone.base, cone.ring.variable(i)).is_proper():
-            out.append(i)
-    return tuple(out)
+    weights = cone.grading.witness().dots
+    return tuple(
+        i for i in range(cone.ring.nvars) if saturate(cone.base, [i], weights).is_proper()
+    )
 
 
 def max_orbit_dimension(cone: HomogeneousIdeal) -> int:
@@ -268,6 +265,7 @@ def find_one_dim_orbit(cone: HomogeneousIdeal) -> RationalPoint:
         raise Rejection("the cone is just the origin; no positive-dimensional orbit")
     grading = cone.grading
     ring = cone.ring
+    weights = grading.witness().dots
     stratum = low_orbit_stratum(grading, 1)
     queue = sorted(s for s in stratum.components if s)
     seen = set(queue)
@@ -280,7 +278,7 @@ def find_one_dim_orbit(cone: HomogeneousIdeal) -> RationalPoint:
             return candidate
         off = [ring.variable(j) for j in range(ring.nvars) if j not in support]
         restricted = ideal_sum(cone.base, IdealPresentation(ring, off))
-        saturated = saturate_by_variables(restricted, support)
+        saturated = saturate(restricted, support, weights)
         if saturated.is_proper():
             found = _solve_on_torus(cone, saturated, support)
             if found is not None:

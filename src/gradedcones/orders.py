@@ -15,8 +15,12 @@ Available kinds:
                          rest on the others (a block order)
 
 Orders used for Groebner computations must be well-orders (the constant
-monomial is minimal); weighted orders get this only from nonnegative weights
-plus a well-ordered tiebreak.
+monomial is minimal).  A weighted order is one when every weight is
+strictly positive, whatever its tiebreak, since only finitely many
+monomials share a weight; with some weight zero it needs nonnegative
+weights and a well-ordered tiebreak.  So weighted(w, weighted(-e_i, tie))
+with w > 0, which prefers the least x_i exponent within a weight, is a
+well-order although its tiebreak is not.
 """
 
 from __future__ import annotations
@@ -98,6 +102,8 @@ class TermOrder:
         if self.kind in ("lex", "degrevlex"):
             return True
         if self.kind == "weighted":
+            if all(w > 0 for w in self.weights):
+                return True
             return all(w >= 0 for w in self.weights) and self.tiebreak.is_well_order()
         if self.kind == "elimination":
             return self.tiebreak.is_well_order()

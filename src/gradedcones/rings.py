@@ -108,22 +108,9 @@ class PolyRing:
 
     # -- derived rings -------------------------------------------------------
 
-    def extend(self, extra: Iterable[str]) -> "PolyRing":
-        """Ring with additional variables appended after the current ones."""
-        return PolyRing(self.names + tuple(extra))
-
     def subring(self, keep: Sequence[int]) -> "PolyRing":
         """Ring on the kept variable positions, in their current order."""
         return PolyRing(tuple(self.names[i] for i in keep))
-
-    def fresh_name(self, stem: str) -> str:
-        """A variable name based on stem that does not collide with names."""
-        if stem not in self.index:
-            return stem
-        k = 0
-        while f"{stem}{k}" in self.index:
-            k += 1
-        return f"{stem}{k}"
 
     def parse(self, text: str) -> "Polynomial":
         from .session import parse_polynomial

@@ -27,10 +27,9 @@ from gradedcones.grading import (
 from gradedcones.groebner import buchberger
 from gradedcones.ideals import (
     IdealPresentation,
-    ideal_intersection,
-    ideal_product,
     ideal_sum,
     krull_dimension,
+    saturate,
 )
 from gradedcones.orbits import (
     low_orbit_stratum,
@@ -163,7 +162,7 @@ def test_criterion_04_singular_locus():
 
 
 def test_criterion_05_graded_ideal_arithmetic():
-    with criterion(5, "sum/product/intersection homogeneity", 300.0):
+    with criterion(5, "sum/saturation homogeneity", 300.0):
         rng = random.Random(105)
         for _ in range(100):
             nvars = rng.randint(2, 4)
@@ -175,7 +174,9 @@ def test_criterion_05_graded_ideal_arithmetic():
             b = IdealPresentation(
                 ring, random_homogeneous_generators(rng, grading, max_gens=3)
             )
-            for combined in (ideal_sum(a, b), ideal_product(a, b), ideal_intersection(a, b)):
+            weights = grading.witness().dots
+            saturated = saturate(a, [rng.randrange(nvars)], weights)
+            for combined in (ideal_sum(a, b), saturated):
                 for g in combined.generators:
                     assert grading.is_homogeneous(g)
 

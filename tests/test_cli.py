@@ -190,6 +190,16 @@ def test_rejection_carries_certificate(run):
     assert d["certificate"] == [1, 1]
 
 
+def test_orbit_closure_rejects_a_non_positive_grading(run):
+    doc = "ring u v ;\ngrading [[1],[-1]] ;\npoint P = (1, 2) ;\n"
+    code, out = run(["orbit-closure", "--point", "P", "--json"], doc=doc)
+    assert code == 1
+    d = json.loads(out)["diagnostics"]
+    assert d["error"] == "NonPositiveGradingError"
+    assert d["message"] == "grading admits a nonconstant monomial of degree zero"
+    assert d["certificate"] == [1, 1]
+
+
 @pytest.mark.parametrize(
     "argv, doc, message",
     [

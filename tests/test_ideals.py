@@ -1,22 +1,23 @@
-"""Ideal arithmetic: sums, products, intersections, saturations, elimination, dimension."""
+"""Ideal arithmetic: sums, saturations, elimination, dimension."""
 
 import random
+from fractions import Fraction
 
+import pytest
+
+from gradedcones import intlinalg
 from gradedcones.errors import ImproperIdealError
 from gradedcones.ideals import (
     IdealPresentation,
     eliminate,
-    ideal_intersection,
-    ideal_product,
     ideal_sum,
     krull_dimension,
     saturate,
-    saturate_by_variables,
 )
 from gradedcones.orders import TermOrder
 from gradedcones.rings import PolyRing
 
-from helpers import random_homogeneous_generators, random_positive_grading
+from helpers import random_homogeneous_generators, random_positive_grading, random_rational
 
 R2 = PolyRing(("x", "y"))
 R3 = PolyRing(("x", "y", "z"))
@@ -44,58 +45,131 @@ def test_inclusion_and_equality():
     assert not I(R2, "x", "y").included_in(a)
 
 
-def test_sum_and_product():
-    a = I(R2, "x")
-    b = I(R2, "y")
-    assert ideal_sum(a, b).same_ideal(I(R2, "x", "y"))
-    assert ideal_product(a, b).same_ideal(I(R2, "x y"))
-    # product of a two-generator ideal expands pairwise
-    c = ideal_product(I(R2, "x", "y"), I(R2, "x", "y"))
-    assert c.same_ideal(I(R2, "x^2", "x y", "y^2"))
-
-
-def test_intersection_goldens():
-    assert ideal_intersection(I(R2, "x"), I(R2, "y")).same_ideal(I(R2, "x y"))
-    assert ideal_intersection(I(R2, "x"), I(R2, "x")).same_ideal(I(R2, "x"))
-    got = ideal_intersection(I(R2, "x^2", "x y"), I(R2, "y"))
-    assert got.same_ideal(I(R2, "x y"))
-
-
-def test_intersection_is_sound_on_random_ideals():
-    rng = random.Random(8101)
-    for _ in range(12):
-        g = random_positive_grading(rng, R3, 1)
-        a = IdealPresentation(R3, random_homogeneous_generators(rng, g, max_gens=2))
-        b = IdealPresentation(R3, random_homogeneous_generators(rng, g, max_gens=2))
-        both = ideal_intersection(a, b)
-        for f in both.generators:
-            assert a.contains(f) and b.contains(f)
-        # a*b always sits inside the intersection
-        assert ideal_product(a, b).included_in(both)
+def test_sum():
+    assert ideal_sum(I(R2, "x"), I(R2, "y")).same_ideal(I(R2, "x", "y"))
 
 
 def test_saturation_goldens():
-    assert saturate(I(R2, "x y"), R2.variable(0)).same_ideal(I(R2, "y"))
-    assert saturate(I(R2, "x"), R2.variable(1)).same_ideal(I(R2, "x"))
-    assert saturate(I(R2, "x^2", "x y"), R2.variable(1)).same_ideal(I(R2, "x"))
-    assert not saturate(I(R2, "x^2", "x y"), R2.variable(0)).is_proper()
+    w = (1, 1)
+    assert saturate(I(R2, "x y"), [0], w).same_ideal(I(R2, "y"))
+    assert saturate(I(R2, "x"), [1], w).same_ideal(I(R2, "x"))
+    assert saturate(I(R2, "x^2", "x y"), [1], w).same_ideal(I(R2, "x"))
+    assert not saturate(I(R2, "x^2", "x y"), [0], w).is_proper()
+    assert saturate(I(R2, "x^2 - x y"), [0], w).same_ideal(I(R2, "x - y"))
+    # x^2 - y is homogeneous for the weights (1, 2) only
+    assert saturate(I(R2, "x^3 - x y"), [0], (1, 2)).same_ideal(I(R2, "x^2 - y"))
+    assert saturate(I(R2, "x y"), [], w).same_ideal(I(R2, "x y"))
 
 
-def test_saturation_by_polynomial_and_errors():
+def test_saturation_errors():
     a = I(R2, "x^2 - x y")
-    assert saturate(a, R2.parse("x")).same_ideal(I(R2, "x - y"))
-    try:
-        saturate(a, R2.zero())
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("zero saturation must be rejected")
+    for weights in ((1, 0), (1, -1), (1,)):
+        with pytest.raises(ValueError):
+            saturate(a, [0], weights)
+    with pytest.raises(ValueError):
+        saturate(a, [2], (1, 1))
+    with pytest.raises(ArithmeticError):
+        saturate(I(R2, "x^2 - y"), [0], (1, 1))
 
 
-def test_saturate_by_variables_matches_iterated_saturation():
+def test_saturation_by_several_variables_matches_iterated_saturation():
     a = I(R3, "x^2 y", "x z^2")
-    step = saturate(saturate(a, R3.variable(0)), R3.variable(2))
-    assert saturate_by_variables(a, {0, 2}).same_ideal(step)
+    w = (1, 1, 1)
+    step = saturate(saturate(a, [0], w), [2], w)
+    assert saturate(a, {0, 2}, w).same_ideal(step)
+    assert saturate(a, [2, 0], w).same_ideal(step)
+
+
+# -- graded saturation against the auxiliary-variable one -----------------------------
+
+
+def _rabinowitsch(a: IdealPresentation, variables) -> IdealPresentation:
+    """a : x_i^inf for each i in turn, by eliminating z from a + (z x_i - 1)
+    in a ring with one more variable."""
+    ring = a.ring
+    big = PolyRing(ring.names + ("z_",))
+    into = list(range(ring.nvars))
+    back = into + [None]
+    z = big.variable(ring.nvars)
+    for i in sorted(variables):
+        gens = [g.map_variables(big, into) for g in a.generators]
+        gens.append(z * big.variable(i) - big.one())
+        kept = eliminate(IdealPresentation(big, gens), {ring.nvars})
+        a = IdealPresentation(ring, [g.map_variables(ring, back) for g in kept.generators])
+    return a
+
+
+def _lattice_binomials(grading, coords) -> IdealPresentation:
+    """The binomials of an integer kernel basis of the support columns,
+    with coefficients vanishing at coords, as orbit_closure_ideal builds them."""
+    ring = grading.ring
+    support = [i for i, c in enumerate(coords) if c]
+    rows = [[grading.columns[i][t] for i in support] for t in range(grading.m)]
+    gens = []
+    for u in intlinalg.integer_kernel(rows) if support else []:
+        plus, minus = [0] * ring.nvars, [0] * ring.nvars
+        aplus = aminus = Fraction(1)
+        for k, i in zip(u, support):
+            if k > 0:
+                plus[i] = k
+                aplus *= coords[i] ** k
+            elif k < 0:
+                minus[i] = -k
+                aminus *= coords[i] ** -k
+        gens.append(ring.monomial(plus, aminus) - ring.monomial(minus, aplus))
+    return IdealPresentation(ring, gens)
+
+
+def _saturation_cases(seed: int, count: int):
+    """(ideal, variables, weights): random homogeneous ideals in 2-5 variables,
+    every fourth one a lattice-binomial ideal, with random variable subsets."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n = rng.randint(2, 5)
+        ring = PolyRing(tuple(f"x{i}" for i in range(n)))
+        grading = random_positive_grading(rng, ring, rng.randint(1, 2))
+        if k % 4 == 3:
+            coords = [random_rational(rng, nonzero=rng.random() < 0.8) for _ in range(n)]
+            a = _lattice_binomials(grading, coords)
+        else:
+            gens = random_homogeneous_generators(rng, grading, max_gens=3, max_degree=3)
+            a = IdealPresentation(ring, gens)
+        variables = sorted(rng.sample(range(n), rng.randint(1, n)))
+        yield a, variables, grading.witness().dots
+
+
+def test_graded_saturation_matches_the_auxiliary_variable_path():
+    lex = TermOrder.lex()
+    for a, variables, weights in _saturation_cases(20090122, 300):
+        graded = saturate(a, variables, weights).groebner(lex).elements
+        assert graded == _rabinowitsch(a, variables).groebner(lex).elements, (a, variables)
+
+
+def test_graded_saturation_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    lex = TermOrder.lex()
+    for a, variables, weights in _saturation_cases(20090123, 30):
+        ring = a.ring
+        xs = sympy.symbols(ring.names)
+        z = sympy.Symbol("z_")
+        polys = [
+            sympy.Add(
+                *(
+                    sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(x**k for x, k in zip(xs, e)))
+                    for e, c in g.terms.items()
+                )
+            )
+            for g in a.generators
+        ]
+        polys.append(z * sympy.Mul(*(xs[i] for i in variables)) - 1)
+        theirs = set()
+        for poly in sympy.groebner(polys, z, *xs, order="lex", domain="QQ").polys:
+            if poly.degree(z) == 0:
+                terms = {e[1:]: Fraction(int(c.p), int(c.q)) for e, c in poly.terms()}
+                lc = terms[max(terms, key=lex.key)]
+                theirs.add(frozenset((e, c / lc) for e, c in terms.items()))
+        ours = saturate(a, variables, weights).groebner(lex).elements
+        assert {frozenset(g.terms.items()) for g in ours} == theirs, (a, variables)
 
 
 def test_elimination_goldens():

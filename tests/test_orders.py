@@ -53,6 +53,11 @@ def test_well_order_detection():
     assert TermOrder.degrevlex().is_well_order()
     assert TermOrder.weighted((1, 1, 1), TermOrder.lex()).is_well_order()
     assert not TermOrder.weighted((1, -1, 1), TermOrder.lex()).is_well_order()
+    # positive weights make any tiebreak fine, even one preferring a small y exponent
+    least_y = TermOrder.weighted((0, -1), TermOrder.degrevlex())
+    assert not least_y.is_well_order()
+    assert TermOrder.weighted((1, 2), least_y).is_well_order()
+    assert not TermOrder.weighted((0, 1), least_y).is_well_order()
 
 
 def test_order_multiplicative_and_total():
