@@ -38,7 +38,6 @@ from .grading import (
     GradingMap,
     NonPositivityCertificate,
     PositivityWitness,
-    lattice_rank_index,
     positivity_witness,
 )
 from .cones import (

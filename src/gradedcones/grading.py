@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from . import intlinalg, ratlp
+from . import ratlp
 from .errors import NonPositiveGradingError, NotHomogeneousError
 from .orders import TermOrder
 from .rings import Exponent, PolyRing, Polynomial
@@ -202,12 +202,3 @@ def positivity_witness(grading: GradingMap):
         raise ArithmeticError("non-positivity certificate failed verification")
     return NonPositivityCertificate(alpha=alpha)
 
-
-def lattice_rank_index(degrees, sub=None) -> tuple[int, int | None]:
-    """Rank of the lattice the degree vectors span; optionally the index of a
-    sublattice spanned by a subset of them (None when infinite)."""
-    degrees = [list(d) for d in degrees]
-    r = intlinalg.rank(degrees)
-    if sub is None:
-        return r, None
-    return r, intlinalg.lattice_index(degrees, [list(d) for d in sub])

@@ -162,7 +162,7 @@ def buchberger(
     if not gens:
         if ring is None:
             raise ValueError("empty generator list needs an explicit ring")
-        return GroebnerBasis(ring, order, (), ())
+        return GroebnerBasis(ring, order, (), (), {"pairs_processed": 0, "basis_size": 0})
     ring = gens[0].ring
     cap = pair_limit() if limit is None else limit
 

@@ -280,7 +280,7 @@ def find_one_dim_orbit(cone: HomogeneousIdeal) -> RationalPoint:
         restricted = ideal_sum(cone.base, IdealPresentation(ring, off))
         saturated = saturate(restricted, support, weights)
         if saturated.is_proper():
-            found = _solve_on_torus(cone, saturated, support)
+            found = _assign(cone, saturated, support, list(support), {})
             if found is not None:
                 return found
             unsolved.append(support)
@@ -312,10 +312,6 @@ FREE_VALUE_CANDIDATES = tuple(
 )
 
 
-def _solve_on_torus(cone, pres: IdealPresentation, support) -> RationalPoint | None:
-    return _assign(cone, pres, support, list(support), {})
-
-
 def _assign(cone, pres, support, todo, values) -> RationalPoint | None:
     ring = cone.ring
     if not todo:
@@ -332,8 +328,6 @@ def _assign(cone, pres, support, todo, values) -> RationalPoint | None:
         roots = list(FREE_VALUE_CANDIDATES)
     for c in roots:
         tighter = ideal_sum(pres, IdealPresentation(ring, [ring.variable(i) - ring.constant(c)]))
-        if not tighter.is_proper():
-            continue
         found = _assign(cone, tighter, support, todo[1:], {**values, i: c})
         if found is not None:
             return found

@@ -151,6 +151,16 @@ def test_orbit_commands(run):
     assert result["stays_on_cone"] is True
 
 
+def test_orbit_closure_of_a_point_with_independent_support_columns(run):
+    # the lattice of the support columns is zero, so there are no binomials
+    # and every Groebner run gets an empty generator list
+    doc = "ring a b ;\ngrading [[1,0],[0,1]] ;\npoint P = (1, 2) ;\n"
+    code, out = run(["orbit-closure", "--point", "P", "--json"], doc=doc)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["generators"] == [] and result["dimension"] == 2
+
+
 def test_stratum_text_golden(run):
     doc = "ring x y ;\nideal J = x^2, x y ;\n"
     code, out = run(["stratum", "--order", "lex"], doc=doc)
@@ -233,6 +243,26 @@ def test_parse_error_exit_two(run):
     assert report["status"] == "parse-error"
     assert report["diagnostics"]["line"] == 2
     assert report["diagnostics"]["column"] == 1
+
+
+@pytest.mark.parametrize(
+    "doc, line, column",
+    [("ring x ;\nideal I = x^\u00b2 ;\n", 2, 13), ("ring x ;\ngrading [[\u00b2]] ;\n", 2, 11)],
+    ids=["superscript-exponent", "superscript-degree"],
+)
+def test_non_decimal_digit_is_a_parse_error(run, doc, line, column):
+    code, out = run(["check", "--json"], doc=doc)
+    assert code == 2
+    diagnostics = json.loads(out)["diagnostics"]
+    assert diagnostics["error"] == "ParseFailure"
+    assert (diagnostics["line"], diagnostics["column"]) == (line, column)
+
+
+def test_decimal_digits_of_any_script_read_as_integers(run):
+    code, out = run(["check", "--json"], doc="ring x ;\ngrading [[\u0663]] ;\nideal I = x^\u0663 ;\n")
+    assert code == 0
+    ideal = json.loads(out)["result"]["ideals"][0]
+    assert ideal["generators"] == [{"degree": [9], "text": "x^3"}]
 
 
 def test_ideal_selection(run):

@@ -7,7 +7,6 @@ from gradedcones.grading import (
     GradingMap,
     NonPositivityCertificate,
     PositivityWitness,
-    lattice_rank_index,
 )
 from gradedcones.orders import TermOrder
 from gradedcones.ratlp import feasible_or_farkas
@@ -178,16 +177,6 @@ def test_restrict_keeps_degrees():
     assert sub.ring.names == ("y2", "y3")
     assert sub.columns == ((1, 0), (0, 1))
     assert sub.m == 2
-
-
-def test_lattice_rank_index():
-    assert lattice_rank_index([(1, 2), (1, 0), (0, 1), (2, 3)]) == (2, None)
-    r, idx = lattice_rank_index([(1, 2), (1, 0), (0, 1), (2, 3)], sub=[(1, 0), (0, 1)])
-    assert (r, idx) == (2, 1)
-    r, idx = lattice_rank_index([(1, 2), (1, 0), (0, 1), (2, 3)], sub=[(1, 2), (2, 3)])
-    assert (r, idx) == (2, 1)
-    r, idx = lattice_rank_index([(1, 0), (0, 2)], sub=[(1, 0)])
-    assert (r, idx) == (2, None)
 
 
 def test_grading_equality_and_cache():

@@ -115,6 +115,9 @@ def test_empty_generators_need_ring():
         buchberger([], LEX)
     gb = buchberger([], LEX, ring=R)
     assert gb.elements == ()
+    # the same stats keys as a run with generators
+    assert gb.stats == {"pairs_processed": 0, "basis_size": 0}
+    assert buchberger([P("x")], LEX).stats == {"pairs_processed": 0, "basis_size": 1}
 
 
 def test_pair_limit_cap():

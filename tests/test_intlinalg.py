@@ -1,13 +1,16 @@
-"""Exact integer matrix routines: HNF, Smith invariants, kernels, lattice indices."""
+"""Exact integer matrix routines: HNF, rank, kernels, lattice indices."""
 
 import random
+from fractions import Fraction
+from math import gcd, prod
+
+import pytest
 
 from gradedcones.intlinalg import (
     hermite_normal_form,
     integer_kernel,
     lattice_index,
     rank,
-    smith_invariants,
 )
 
 
@@ -45,23 +48,12 @@ def test_rank():
     assert rank([[0, 0]]) == 0
 
 
-def test_smith_invariants_goldens():
-    assert smith_invariants([[2, 0], [0, 3]]) == [1, 6]
-    assert smith_invariants([[1, 0], [0, 1]]) == [1, 1]
-    assert smith_invariants([[2, 4], [4, 8]]) == [2]
-    # divisibility chain d1 | d2 | ...
-    rng = random.Random(4402)
-    for _ in range(20):
-        rows = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)]
-        inv = smith_invariants(rows)
-        for a, b in zip(inv, inv[1:]):
-            assert b % a == 0
-
-
 def test_integer_kernel_golden():
     rows = [[1, 1, 0, 2], [2, 0, 1, 3]]
     basis = integer_kernel(rows)
-    assert basis == [(1, -1, -2, 0), (2, 0, -1, -1)]
+    assert basis == [(1, 1, 1, -1), (0, 2, 3, -1)]
+    # the Hermite form of the basis the column reduction gave
+    assert [tuple(v) for v in hermite_normal_form([(1, -1, -2, 0), (2, 0, -1, -1)])] == basis
     for v in basis:
         assert mat_vec(rows, v) == (0, 0)
 
@@ -98,15 +90,24 @@ def test_lattice_index_goldens():
     assert lattice_index([[1, 0], [0, 1]], [[2, 0], [0, 2]]) == 4
     assert lattice_index([[1, 0], [0, 1]], [[1, 0]]) is None
     assert lattice_index([], []) == 1
+    # degree columns of the running surface example
+    cols = [(1, 2), (1, 0), (0, 1), (2, 3)]
+    assert rank(cols) == 2
+    assert lattice_index(cols, [(1, 0), (0, 1)]) == 1
+    assert lattice_index(cols, [(1, 2), (2, 3)]) == 1
+    assert rank([(1, 0), (0, 2)]) == 2
+    assert lattice_index([(1, 0), (0, 2)], [(1, 0)]) is None
 
 
 def test_lattice_index_not_contained():
-    try:
-        lattice_index([[2, 0], [0, 2]], [[1, 0], [0, 2]])
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("non-sublattice must be rejected")
+    for full, sub in (
+        ([[2, 0], [0, 2]], [[1, 0], [0, 2]]),
+        # the elementary divisor ratio is the integer 2 here, yet (1, 0)
+        # is not in the first lattice
+        ([[2, 0], [0, 1]], [[1, 0], [0, 4]]),
+    ):
+        with pytest.raises(ValueError):
+            lattice_index(full, sub)
 
 
 def test_hermite_normal_form_detects_lattice_equality():
@@ -115,3 +116,182 @@ def test_hermite_normal_form_detects_lattice_equality():
     assert hermite_normal_form(a) == hermite_normal_form(b)
     c = [[2, 4], [6, 8]]
     assert hermite_normal_form(a) != hermite_normal_form(c)
+
+
+
+# The eliminations the Hermite form replaced, kept as the reference: a column
+# reduction carrying an identity block for the kernel, and Smith invariant
+# factors for the index.
+
+
+def _old_kernel(rows):
+    m = [list(row) for row in rows]
+    nrows, ncols = len(m), len(m[0])
+    u = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+
+    def addmul_col(mat, dst, src, q):
+        for i in range(len(mat)):
+            mat[i][dst] -= q * mat[i][src]
+
+    def swap_col(mat, a, b):
+        for row in mat:
+            row[a], row[b] = row[b], row[a]
+
+    lead = 0
+    for r in range(nrows):
+        live = [j for j in range(lead, ncols) if m[r][j] != 0]
+        if not live:
+            continue
+        while True:
+            live = [j for j in range(lead, ncols) if m[r][j] != 0]
+            if len(live) <= 1:
+                break
+            live.sort(key=lambda j: abs(m[r][j]))
+            small = live[0]
+            for j in live[1:]:
+                q = m[r][j] // m[r][small]
+                addmul_col(m, j, small, q)
+                addmul_col(u, j, small, q)
+        j = live[0]
+        if j != lead:
+            swap_col(m, j, lead)
+            swap_col(u, j, lead)
+        lead += 1
+        if lead == ncols:
+            break
+    out = [tuple(u[i][j] for i in range(ncols)) for j in range(lead, ncols)]
+    assert all(m[i][j] == 0 for i in range(nrows) for j in range(lead, ncols))
+    return out
+
+
+def _smith_invariants(rows):
+    m = [list(row) for row in rows]
+    if not m or not m[0]:
+        return []
+    nrows, ncols = len(m), len(m[0])
+    divisors = []
+    top = 0
+    while top < nrows and top < ncols:
+        pivot = None
+        for i in range(top, nrows):
+            for j in range(top, ncols):
+                if m[i][j] != 0:
+                    if pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]]):
+                        pivot = (i, j)
+        if pivot is None:
+            break
+        i, j = pivot
+        m[top], m[i] = m[i], m[top]
+        for row in m:
+            row[top], row[j] = row[j], row[top]
+        dirty = False
+        for i in range(top + 1, nrows):
+            q = m[i][top] // m[top][top]
+            if q:
+                m[i] = [x - q * y for x, y in zip(m[i], m[top])]
+            if m[i][top] != 0:
+                dirty = True
+        for j in range(top + 1, ncols):
+            q = m[top][j] // m[top][top]
+            if q:
+                for row in m:
+                    row[j] -= q * row[top]
+            if m[top][j] != 0:
+                dirty = True
+        if dirty:
+            continue
+        # the pivot must divide every remaining entry for d1 | d2 | ...
+        fix = None
+        for i in range(top + 1, nrows):
+            for j in range(top + 1, ncols):
+                if m[i][j] % m[top][top] != 0:
+                    fix = i
+                    break
+            if fix is not None:
+                break
+        if fix is not None:
+            m[top] = [x + y for x, y in zip(m[top], m[fix])]
+            continue
+        divisors.append(abs(m[top][top]))
+        top += 1
+    return divisors
+
+
+def _old_index(full, sub):
+    if rank(sub) != rank(full):
+        return None
+    ratio = Fraction(prod(_smith_invariants(sub)), prod(_smith_invariants(full)))
+    if ratio.denominator != 1:
+        raise ValueError("second lattice is not contained in the first")
+    return int(ratio)
+
+
+def _random_matrix(rng, ncols=None):
+    """1-4 rows, 1-8 columns, entries -4..4, with zero and repeated columns."""
+    nrows = rng.randint(1, 4)
+    cols = []
+    for _ in range(ncols or rng.randint(1, 8)):
+        roll = rng.random()
+        if roll < 0.15:
+            cols.append([0] * nrows)
+        elif roll < 0.3 and cols:
+            cols.append(list(rng.choice(cols)))
+        else:
+            cols.append([rng.randint(-4, 4) for _ in range(nrows)])
+    return [[col[t] for col in cols] for t in range(nrows)]
+
+
+def _combinations(rng, rows):
+    """Random integer combinations of the rows, at least as many as there are rows."""
+    out = []
+    for _ in range(rng.randint(len(rows), len(rows) + 2)):
+        coeffs = [rng.randint(-3, 3) for _ in rows]
+        out.append([sum(a * x for a, x in zip(coeffs, col)) for col in zip(*rows)])
+    return out
+
+
+def _primitive(v):
+    g = gcd(*v)
+    return [x // g for x in v] if g else v
+
+
+def test_kernel_and_index_agree_with_the_old_eliminations():
+    rng = random.Random(20090107)
+    for _ in range(300):
+        full = _random_matrix(rng)
+        assert [tuple(v) for v in hermite_normal_form(_old_kernel(full))] == integer_kernel(full)
+        inside = _combinations(rng, full)
+        assert lattice_index(full, inside) == _old_index(full, inside), (full, inside)
+        # vectors of the same rational span, often outside the lattice, and any vectors
+        for sub in ([_primitive(v) for v in inside], _random_matrix(rng, len(full[0]))):
+            if rank(sub) != rank(full):
+                assert lattice_index(full, sub) is None
+            elif hermite_normal_form(full + sub) != hermite_normal_form(full):
+                with pytest.raises(ValueError):
+                    lattice_index(full, sub)
+            else:
+                assert lattice_index(full, sub) == _old_index(full, sub), (full, sub)
+
+
+def test_kernel_and_index_match_sympy_invariant_factors():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    def factors(rows):
+        return [int(d) for d in invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ) if d]
+
+    rng = random.Random(20090108)
+    for _ in range(40):
+        rows = _random_matrix(rng)
+        ncols = len(rows[0])
+        kernel = integer_kernel(rows)
+        assert len(kernel) == ncols - sympy.Matrix(rows).rank()
+        for v in kernel:
+            assert mat_vec(rows, v) == (0,) * len(rows)
+        # a primitive basis of vectors in ker M spans all of ker M meet Z^n
+        if kernel:
+            assert factors([list(v) for v in kernel]) == [1] * len(kernel)
+        sub = _combinations(rng, rows)
+        index = lattice_index(rows, sub)
+        if index is not None:
+            assert Fraction(prod(factors(sub)), prod(factors(rows))) == index
