@@ -8,6 +8,7 @@ from gradedcones.grading import (
     NonPositivityCertificate,
     PositivityWitness,
 )
+from gradedcones.intlinalg import lattice_index, rank
 from gradedcones.orders import TermOrder
 from gradedcones.ratlp import feasible_or_farkas
 from gradedcones.rings import PolyRing
@@ -177,6 +178,16 @@ def test_restrict_keeps_degrees():
     assert sub.ring.names == ("y2", "y3")
     assert sub.columns == ((1, 0), (0, 1))
     assert sub.m == 2
+
+
+def test_lattice_rank_index():
+    # rank of the degree lattice and the index of a sublattice in it
+    cols = list(G.columns)
+    assert rank(cols) == 2
+    assert lattice_index(cols, [(1, 0), (0, 1)]) == 1
+    assert lattice_index(cols, [(1, 2), (2, 3)]) == 1
+    assert rank([(1, 0), (0, 2)]) == 2
+    assert lattice_index([(1, 0), (0, 2)], [(1, 0)]) is None
 
 
 def test_grading_equality_and_cache():

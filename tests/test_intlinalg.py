@@ -90,13 +90,6 @@ def test_lattice_index_goldens():
     assert lattice_index([[1, 0], [0, 1]], [[2, 0], [0, 2]]) == 4
     assert lattice_index([[1, 0], [0, 1]], [[1, 0]]) is None
     assert lattice_index([], []) == 1
-    # degree columns of the running surface example
-    cols = [(1, 2), (1, 0), (0, 1), (2, 3)]
-    assert rank(cols) == 2
-    assert lattice_index(cols, [(1, 0), (0, 1)]) == 1
-    assert lattice_index(cols, [(1, 2), (2, 3)]) == 1
-    assert rank([(1, 0), (0, 2)]) == 2
-    assert lattice_index([(1, 0), (0, 2)], [(1, 0)]) is None
 
 
 def test_lattice_index_not_contained():
