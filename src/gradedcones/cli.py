@@ -7,7 +7,7 @@ output, with all numbers printed as exact rationals.  Timing goes to stderr
 so it never perturbs the report.
 
 Exit codes: 0 success, 1 mathematical rejection or resource cap, 2 parse
-error.
+error or command line usage error.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+from typing import Callable, NamedTuple
 
 from .cones import (
     homogeneous_ideal,
@@ -49,14 +50,22 @@ from .strata import MonomialIdealSpec, reduced_stratum as compute_reduced_stratu
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Run one subcommand; argv defaults to sys.argv[1:].
+
+    Only the named command's subparser is built: building all of them costs
+    more than most commands take.  Anything else (no command, a leading
+    option, an unknown name, top-level help) goes to the full parser.
+    """
+    argv = sys.argv[1:] if argv is None else argv
+    named = argv[:1] if argv[:1] and argv[0] in COMMANDS else COMMANDS
+    args = build_parser(named).parse_args(argv)
     started = time.perf_counter()
     try:
         session = parse_session(_read_input(args))
         report = {
             "command": args.command,
             "status": "ok",
-            "result": _COMMANDS[args.command](session, args),
+            "result": COMMANDS[args.command].handler(session, args),
         }
         code = 0
     except ParseFailure as err:
@@ -476,73 +485,74 @@ def _cmd_stratum(session, args) -> dict:
     return out
 
 
-_COMMANDS = {
-    "check": _cmd_check,
-    "decompose": _cmd_decompose,
-    "embed": _cmd_embed,
-    "smooth": _cmd_smooth,
-    "singular": _cmd_singular,
-    "gb": _cmd_gb,
-    "dim": _cmd_dim,
-    "orbit-dim": _cmd_orbit_dim,
-    "orbit-closure": _cmd_orbit_closure,
-    "stratum-mu": _cmd_stratum_mu,
-    "cross-section": _cmd_cross_section,
-    "curve": _cmd_curve,
-    "one-dim-orbit": _cmd_one_dim_orbit,
-    "stratum": _cmd_stratum,
+class Command(NamedTuple):
+    help: str
+    handler: Callable[[SessionInput, argparse.Namespace], dict]
+    options: tuple  # (flag, add_argument keywords), in help order
+
+
+_IDEAL = ("--ideal", {})
+_POINT = ("--point", {})
+_ORDER = ("--order", {"choices": ("lex", "degrevlex", "weighted"), "default": "degrevlex"})
+
+COMMANDS = {
+    "check": Command("validate grading positivity and ideal homogeneity", _cmd_check, ()),
+    "decompose": Command("split generators into homogeneous components", _cmd_decompose, (_IDEAL,)),
+    "embed": Command(
+        "minimal embedding into the tangent space at the origin",
+        _cmd_embed,
+        (_IDEAL, ("--keep", {"help": "comma-separated variables to keep instead"})),
+    ),
+    "smooth": Command("smoothness at the origin", _cmd_smooth, (_IDEAL,)),
+    "singular": Command("singular locus ideal (exact or upper bound)", _cmd_singular, (_IDEAL,)),
+    "gb": Command("reduced Groebner basis", _cmd_gb, (_IDEAL, _ORDER)),
+    "dim": Command("Krull dimension", _cmd_dim, (_IDEAL, _ORDER)),
+    "orbit-dim": Command("dimension of the torus orbit through a point", _cmd_orbit_dim, (_POINT,)),
+    "orbit-closure": Command("defining ideal of an orbit closure", _cmd_orbit_closure, (_POINT,)),
+    "stratum-mu": Command(
+        "locus of orbits of dimension at most a bound",
+        _cmd_stratum_mu,
+        (("--mu", {"type": int, "required": True}),),
+    ),
+    "cross-section": Command(
+        "slice meeting maximal orbits in r points",
+        _cmd_cross_section,
+        (_IDEAL, ("--vars", {"required": True, "help": "comma-separated chosen variables"})),
+    ),
+    "curve": Command("rational curve from the origin through a point", _cmd_curve, (_POINT, _IDEAL)),
+    "one-dim-orbit": Command(
+        "rational point with a one-dimensional orbit", _cmd_one_dim_orbit, (_IDEAL,)
+    ),
+    "stratum": Command(
+        "Groebner stratum of a monomial ideal",
+        _cmd_stratum,
+        (_IDEAL, _ORDER, ("--mode", {"choices": ("homogeneous", "full"), "default": "homogeneous"})),
+    ),
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--file", help="input document (defaults to stdin)")
-    common.add_argument("--json", action="store_true", help="machine-readable output")
+def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
+    """The argument parser with a subparser for each of `names`.
 
+    Given fewer than every command, the subcommand metavar still lists them
+    all, so a usage line printed by the smaller parser is the full parser's.
+    The full parser keeps argparse's default, which its "required" and
+    "invalid choice" messages depend on.
+    """
     parser = argparse.ArgumentParser(
         prog="gradedcones",
         description="Exact computations with multigraded ideals, cones, "
         "torus orbits, and Groebner strata.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def cmd(name: str, help_text: str):
-        return sub.add_parser(name, parents=[common], help=help_text)
-
-    cmd("check", "validate grading positivity and ideal homogeneity")
-    sp = cmd("decompose", "split generators into homogeneous components")
-    sp.add_argument("--ideal")
-    sp = cmd("embed", "minimal embedding into the tangent space at the origin")
-    sp.add_argument("--ideal")
-    sp.add_argument("--keep", help="comma-separated variables to keep instead")
-    sp = cmd("smooth", "smoothness at the origin")
-    sp.add_argument("--ideal")
-    sp = cmd("singular", "singular locus ideal (exact or upper bound)")
-    sp.add_argument("--ideal")
-    sp = cmd("gb", "reduced Groebner basis")
-    sp.add_argument("--ideal")
-    sp.add_argument("--order", choices=("lex", "degrevlex", "weighted"), default="degrevlex")
-    sp = cmd("dim", "Krull dimension")
-    sp.add_argument("--ideal")
-    sp.add_argument("--order", choices=("lex", "degrevlex", "weighted"), default="degrevlex")
-    sp = cmd("orbit-dim", "dimension of the torus orbit through a point")
-    sp.add_argument("--point")
-    sp = cmd("orbit-closure", "defining ideal of an orbit closure")
-    sp.add_argument("--point")
-    sp = cmd("stratum-mu", "locus of orbits of dimension at most a bound")
-    sp.add_argument("--mu", type=int, required=True)
-    sp = cmd("cross-section", "slice meeting maximal orbits in r points")
-    sp.add_argument("--ideal")
-    sp.add_argument("--vars", required=True, help="comma-separated chosen variables")
-    sp = cmd("curve", "rational curve from the origin through a point")
-    sp.add_argument("--point")
-    sp.add_argument("--ideal")
-    sp = cmd("one-dim-orbit", "rational point with a one-dimensional orbit")
-    sp.add_argument("--ideal")
-    sp = cmd("stratum", "Groebner stratum of a monomial ideal")
-    sp.add_argument("--ideal")
-    sp.add_argument("--order", choices=("lex", "degrevlex", "weighted"), default="degrevlex")
-    sp.add_argument("--mode", choices=("homogeneous", "full"), default="homogeneous")
+    metavar = None if len(names) == len(COMMANDS) else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        command = COMMANDS[name]
+        sp = sub.add_parser(name, help=command.help)
+        sp.add_argument("--file", help="input document (defaults to stdin)")
+        sp.add_argument("--json", action="store_true", help="machine-readable output")
+        for flag, keywords in command.options:
+            sp.add_argument(flag, **keywords)
     return parser
 
 

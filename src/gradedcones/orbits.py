@@ -335,41 +335,122 @@ def _assign(cone, pres, support, todo, values) -> RationalPoint | None:
 
 
 def _nonzero_rational_roots(p: Polynomial, var: int) -> list[Fraction]:
-    """Nonzero rational roots of a univariate polynomial, smallest first."""
+    """Nonzero rational roots of a univariate polynomial, smallest first.
+
+    The distinct real roots are isolated exactly, by a Sturm sequence and
+    bisection, into intervals narrower than 1/(2 lead^2).  A rational root
+    has a denominator dividing the lead coefficient, and two fractions with
+    denominators at most |lead| lie at least 1/lead^2 apart, so the one
+    candidate in an interval is the fraction of such a denominator nearest
+    its midpoint, if that lies inside.  The work grows with the bit sizes of
+    the coefficients, not with their values.
+    """
     coeffs: dict[int, Fraction] = {}
     for e, c in p.terms.items():
         coeffs[e[var]] = c
     shift = min(k for k, c in coeffs.items() if c != 0)
-    coeffs = {k - shift: c for k, c in coeffs.items()}
     den = 1
     for c in coeffs.values():
         den = den * c.denominator // gcd(den, c.denominator)
-    ints = {k: int(c * den) for k, c in coeffs.items()}
+    ints = [0] * (max(coeffs) - shift + 1)
+    for k, c in coeffs.items():
+        ints[k - shift] = int(c * den)
     if len(ints) == 1:
         return []
-    deg = max(ints)
-    lead, const = ints[deg], ints[0]
-    roots = set()
-    for num in _divisors(abs(const)):
-        for d in _divisors(abs(lead)):
-            for cand in (Fraction(num, d), Fraction(-num, d)):
-                if cand in roots:
-                    continue
-                if sum(c * cand**k for k, c in ints.items()) == 0:
-                    roots.add(cand)
+    lead = abs(ints[-1])
+    sturm = _sturm_sequence(_square_free(ints))
+    bound = 2 + max(abs(c) for c in ints[:-1]) // lead  # beyond every root
+    roots = []
+    # (lo, hi, e): the interval (lo/2^e, hi/2^e], holding at_lo - at_hi roots
+    todo = [(-bound, bound, 0, _sign_changes(sturm, -bound, 1), _sign_changes(sturm, bound, 1))]
+    while todo:
+        lo, hi, e, at_lo, at_hi = todo.pop()
+        if at_lo - at_hi == 1 and (hi - lo) * 2 * lead * lead < 1 << e:
+            candidate = Fraction(lo + hi, 1 << (e + 1)).limit_denominator(lead)
+            n, d = candidate.numerator, candidate.denominator
+            if lo * d < n << e <= hi * d and _scaled_value(ints, n, d) == 0:
+                roots.append(candidate)
+        elif at_lo > at_hi:
+            mid = lo + hi
+            at_mid = _sign_changes(sturm, mid, 1 << (e + 1))
+            todo += [(2 * lo, mid, e + 1, at_lo, at_mid), (mid, 2 * hi, e + 1, at_mid, at_hi)]
     return sorted(roots, key=lambda r: (abs(r), r < 0))
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+# Integer polynomials below are coefficient lists, lowest degree first.
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """lead(b)^(deg a - deg b + 1) * a reduced modulo b, over the integers."""
+    a = list(a)
+    for _ in range(len(a) - len(b) + 1):
+        f = a[-1]
+        a = [b[-1] * c for c in a]
+        for i, c in enumerate(b, len(a) - len(b)):
+            a[i] -= f * c
+        a.pop()
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _primitive(a: list[int]) -> list[int]:
+    g = gcd(*a)
+    return [c // g for c in a]
+
+
+def _derivative(a: list[int]) -> list[int]:
+    return [k * c for k, c in enumerate(a)][1:]
+
+
+def _square_free(a: list[int]) -> list[int]:
+    """a divided by gcd(a, a'): the same roots, each simple."""
+    g, h = a, _derivative(a)
+    while h:
+        g, h = h, _primitive(_pseudo_remainder(g, h))
+    g = _primitive(g)
+    q = [0] * (len(a) - len(g) + 1)
+    a = list(a)
+    for k in reversed(range(len(q))):  # exact by Gauss's lemma
+        q[k] = a[k + len(g) - 1] // g[-1]
+        for i, c in enumerate(g, k):
+            a[i] -= q[k] * c
+    return q
+
+
+def _sturm_sequence(a: list[int]) -> list[list[int]]:
+    """a, a' and the negated remainders, each up to a positive factor."""
+    seq = [a, _derivative(a)]
+    while True:
+        prev, last = seq[-2], seq[-1]
+        rest = _pseudo_remainder(prev, last)
+        if not rest:
+            return seq
+        # rest is lead^k times the remainder; the sequence needs minus it
+        if last[-1] > 0 or (len(prev) - len(last)) % 2:
+            rest = [-c for c in rest]
+        seq.append(_primitive(rest))
+
+
+def _scaled_value(a: list[int], n: int, d: int) -> int:
+    """d^deg * a(n/d) for d > 0: an integer with the sign of a(n/d)."""
+    value, scale = a[-1], 1
+    for c in reversed(a[:-1]):
+        scale *= d
+        value = value * n + c * scale
+    return value
+
+
+def _sign_changes(seq: list[list[int]], n: int, d: int) -> int:
+    """Sign changes of the Sturm sequence at n/d, zeros skipped."""
+    changes, last = 0, 0
+    for a in seq:
+        value = _scaled_value(a, n, d)
+        if value:
+            if last and (value > 0) != (last > 0):
+                changes += 1
+            last = value
+    return changes
 
 
 # -- cross-sections and curves -------------------------------------------------------

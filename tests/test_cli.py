@@ -2,11 +2,18 @@
 
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from gradedcones.cli import main
+from gradedcones.cli import COMMANDS, build_parser, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 EXAMPLE = """\
 ring y1 y2 y3 y4 ;
@@ -337,3 +344,51 @@ def test_orbit_closure_in_twelve_variables_within_budget(run):
         "y11",
     ]
     assert elapsed < 8.0, f"orbit closure blew its 8 s budget: {elapsed:.2f}s"
+
+
+USAGE_CASES = (
+    [[], ["-h"], ["--json"], ["bogus"]]
+    + [[name, "-h"] for name in COMMANDS]
+    + [["dim", "--bogus"], ["gb", "--order", "x"], ["stratum-mu"], ["check", "extra"]]
+)
+
+
+def _exit(call, capsys):
+    with pytest.raises(SystemExit) as info:
+        call()
+    captured = capsys.readouterr()
+    return info.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", USAGE_CASES, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_help_and_usage_errors_match_the_full_parser(capsys, argv):
+    # main builds only the named command's subparser; what it prints and
+    # how it exits must not tell the two apart
+    expected = _exit(lambda: build_parser().parse_args(argv), capsys)
+    assert _exit(lambda: main(argv), capsys) == expected
+
+
+def test_readme_lists_every_command_with_its_flags():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `([a-z-]+)` \| (.*?) \|", readme, flags=re.MULTILINE)
+    assert [name for name, _ in rows] == list(COMMANDS)
+    for name, flags in rows:
+        listed = re.findall(r"`(--[a-z]+)", flags)
+        assert listed == [flag for flag, _ in COMMANDS[name].options], name
+
+
+def test_huge_constant_term_has_no_rational_root_within_budget():
+    # trial division looped over d up to sqrt(10^33 + 1), about 3e16 steps
+    doc = "ring a b ;\ngrading [[1],[1]] ;\nideal J = a^2 - 1000000000000000000000000000000001 b^2 ;\n"
+    done = subprocess.run(
+        [sys.executable, "-m", "gradedcones.cli", "one-dim-orbit", "--json"],
+        input=doc,
+        capture_output=True,
+        text=True,
+        timeout=5.0,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert done.returncode == 1
+    diagnostics = json.loads(done.stdout)["diagnostics"]
+    assert diagnostics["error"] == "NoRationalPointError"
+    assert diagnostics["supports"] == [[0, 1]]

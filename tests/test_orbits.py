@@ -4,6 +4,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from gradedcones import intlinalg
 from gradedcones.cones import homogeneous_ideal, singular_locus
@@ -27,6 +28,7 @@ from gradedcones.orbits import (
     point,
     rational_curve_through,
 )
+from gradedcones.orbits import _nonzero_rational_roots
 from gradedcones.rings import PolyRing
 
 from helpers import random_rational, torus_scaled
@@ -228,6 +230,56 @@ def test_find_one_dim_orbit_solves_torus_conditions():
     p = find_one_dim_orbit(cone)
     assert p.coords[0] == 2 * p.coords[1] != 0
     assert orbit_dimension(p, g).dimension == 1
+
+
+def _trial_division_roots(p, var):
+    """The root search that exact isolation replaced: every +-num/den with
+    num dividing the constant and den the lead coefficient."""
+    coeffs = {e[var]: c for e, c in p.terms.items()}
+    shift = min(coeffs)
+    den = 1
+    for c in coeffs.values():
+        den = den * c.denominator // gcd(den, c.denominator)
+    ints = {k - shift: int(c * den) for k, c in coeffs.items()}
+    if len(ints) == 1:
+        return []
+    lead, const = ints[max(ints)], ints[0]
+
+    def divisors(n):
+        small = [d for d in range(1, int(n**0.5) + 1) if n % d == 0]
+        return sorted(set(small + [n // d for d in small]))
+
+    roots = set()
+    for num in divisors(abs(const)):
+        for d in divisors(abs(lead)):
+            for cand in (Fraction(num, d), Fraction(-num, d)):
+                if sum(c * cand**k for k, c in ints.items()) == 0:
+                    roots.add(cand)
+    return sorted(roots, key=lambda r: (abs(r), r < 0))
+
+
+def test_rational_roots_agree_with_trial_division():
+    # products of rational linear factors (repeated and non-monic), times
+    # quadratics that may have no rational root, a rational scalar and x^k
+    rng = random.Random(20090121)
+    ring = PolyRing(("x", "y"))
+    cases = with_roots = 0
+    for _ in range(400):
+        var = rng.randrange(2)
+        x = ring.variable(var)
+        p = ring.constant(random_rational(rng, nonzero=True))
+        for _ in range(rng.randint(0, 3)):
+            factor = ring.constant(rng.randint(1, 3)) * x - ring.constant(rng.randint(-4, 4))
+            p = p * factor ** rng.choice((1, 1, 2))
+        if rng.random() < 0.5:
+            p = p * (ring.constant(rng.randint(1, 2)) * x * x + ring.constant(rng.randint(-5, 5)))
+        if rng.random() < 0.3:
+            p = p * x ** rng.randint(1, 2)
+        roots = _nonzero_rational_roots(p, var)
+        assert roots == _trial_division_roots(p, var), p
+        cases += len(p.terms) > 1
+        with_roots += bool(roots)
+    assert cases >= 300 and with_roots >= 150
 
 
 def test_free_value_candidates_are_sane():
