@@ -198,7 +198,7 @@ def minimal_embedding(cone: HomogeneousIdeal, kept=None) -> EmbeddingResult:
             tangent_dim=tangent,
         )
 
-    order = TermOrder.elimination(elim_set, TermOrder.degrevlex())
+    order = TermOrder.elimination(elim_set, n, TermOrder.degrevlex())
     gb = cone.base.groebner(order)
     unit_exponents = {}
     for p in eliminated:

@@ -153,15 +153,15 @@ class GradingMap:
             )
         return w
 
-    def induced_order(self, tiebreak: TermOrder | None = None) -> TermOrder:
-        """Weighted order from the positivity witness; requires positivity."""
+    def induced_order(self) -> TermOrder:
+        """Weighted order from the positivity witness, ties by lex; requires positivity."""
         w = self.witness()
         if w is None:
             raise NonPositiveGradingError(
                 "grading is not positive, no induced order exists",
                 self.positivity().alpha,
             )
-        return TermOrder.weighted(w.dots, tiebreak or TermOrder.lex())
+        return TermOrder.weighted(w.dots, TermOrder.lex())
 
 
 def positivity_witness(grading: GradingMap):

@@ -89,7 +89,7 @@ def eliminate(a: IdealPresentation, variables) -> IdealPresentation:
         return a
     if not all(0 <= i < a.ring.nvars for i in block):
         raise ValueError("variable index out of range")
-    order = TermOrder.elimination(block, TermOrder.degrevlex())
+    order = TermOrder.elimination(block, a.ring.nvars, TermOrder.degrevlex())
     gb = a.groebner(order)
     kept = [g for g in gb.elements if not (g.support_variables() & block)]
     return IdealPresentation(a.ring, kept)

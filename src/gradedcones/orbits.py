@@ -89,24 +89,25 @@ def orbit_dimension(p: RationalPoint, grading: GradingMap) -> OrbitInfo:
     )
 
 
-def _parametrization_profile(g: Polynomial, p: RationalPoint, grading: GradingMap) -> dict:
-    """Coefficients of g(a_i t^{column_i}) as a map degree-of-t -> value.
+def torus_restriction(g: Polynomial, p: RationalPoint, degree) -> dict:
+    """Coefficients of g(a_i t^{c_i}) as a map exponent-of-t -> value.
 
-    Terms hitting a vanishing coordinate drop out; the rest group by their
-    degree vector, which is the exponent of t they carry.  Negative entries
-    are fine here (clearing denominators by a global t power would not
-    change which values are zero).
+    a is p's coordinates, and degree(e) is the exponent of t that the
+    monomial with exponent e carries: a degree vector for the orbit's
+    parametrization, an integer for a curve.  Terms hitting a vanishing
+    coordinate drop out.  Negative exponents are fine here (clearing
+    denominators by a global t power would not change which values are
+    zero).
     """
-    support = set(p.support())
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict = {}
     for e, c in g.terms.items():
-        if any(k and i not in support for i, k in enumerate(e)):
-            continue
         value = c
-        for i in support:
-            if e[i]:
-                value *= p.coords[i] ** e[i]
-        d = grading.degree(e)
+        for a, k in zip(p.coords, e):
+            if k:
+                value *= a**k
+        if value == 0:
+            continue
+        d = degree(e)
         s = out.get(d, Fraction(0)) + value
         if s:
             out[d] = s
@@ -125,7 +126,7 @@ def orbit_contained(p: RationalPoint, cone: HomogeneousIdeal) -> bool:
     grading = cone.grading
     ok = True
     for g in cone.base.generators:
-        by_substitution = not _parametrization_profile(g, p, grading)
+        by_substitution = not torus_restriction(g, p, grading.degree)
         by_evaluation = g.evaluate(p.coords) == 0
         if by_substitution != by_evaluation:
             raise ArithmeticError("parametrization and evaluation disagree on a generator")
@@ -179,7 +180,7 @@ def orbit_closure_ideal(p: RationalPoint, grading: GradingMap) -> HomogeneousIde
     closure = homogeneous_ideal(normalized, grading)
 
     for g in closure.base.generators:
-        if _parametrization_profile(g, p, grading):
+        if torus_restriction(g, p, grading.degree):
             raise ArithmeticError("closure generator does not vanish on the orbit")
     if krull_dimension(closure.base) != info.dimension:
         raise ArithmeticError("closure dimension disagrees with the orbit dimension")
@@ -512,26 +513,12 @@ class RationalCurve:
             tuple(a * t**c for a, c in zip(self.point.coords, self.exponents)),
         )
 
-    def compose(self, g: Polynomial) -> dict[int, Fraction]:
-        """g restricted to the curve, as exponent-of-t -> coefficient."""
-        out: dict[int, Fraction] = {}
-        for e, c in g.terms.items():
-            value = c
-            for a, k in zip(self.point.coords, e):
-                if k:
-                    value *= a**k
-            if value == 0:
-                continue
-            d = sum(ci * k for ci, k in zip(self.exponents, e))
-            s = out.get(d, Fraction(0)) + value
-            if s:
-                out[d] = s
-            else:
-                out.pop(d, None)
-        return out
+    def degree(self, e) -> int:
+        """The exponent of t that the monomial with exponent e carries on the curve."""
+        return sum(ci * k for ci, k in zip(self.exponents, e))
 
     def stays_on(self, cone: HomogeneousIdeal) -> bool:
-        return all(not self.compose(g) for g in cone.base.generators)
+        return all(not torus_restriction(g, self.point, self.degree) for g in cone.base.generators)
 
 
 def rational_curve_through(p: RationalPoint, grading: GradingMap) -> RationalCurve:

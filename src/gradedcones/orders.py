@@ -4,13 +4,13 @@ An order exposes a sort key: bigger key means bigger monomial.  Keys are
 nested tuples of ints, so Python tuple comparison implements the order.
 Available kinds:
 
-  lex(priority)          lexicographic, optionally with a variable priority
-                         permutation (priority[0] is most significant)
-  degrevlex(priority)    total degree, ties by reverse lexicographic
+  lex()                  lexicographic, the first variable most significant
+  degrevlex()            total degree, ties by reverse lexicographic
   weighted(weights, tie) integer weight row vector, ties by another order
-  elimination(block, tie)  total degree within a variable block first; any
-                         monomial meeting the block beats any monomial that
-                         avoids it, which makes it an elimination order
+  elimination(block, nvars, tie)  no kind of its own: the weighted order
+                         with weight 1 on a variable block and 0 elsewhere,
+                         so any monomial meeting the block beats any
+                         monomial that avoids it
   product(first, split, rest)  first on the leading split variables, ties by
                          rest on the others (a block order)
 
@@ -25,43 +25,40 @@ well-order although its tiebreak is not.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Sequence
 
 from .rings import Exponent, Polynomial
 
 
 class TermOrder:
-    __slots__ = ("kind", "priority", "weights", "tiebreak", "block", "first", "split")
+    __slots__ = ("kind", "weights", "tiebreak", "first", "split")
 
-    def __init__(
-        self, kind, priority=None, weights=None, tiebreak=None, block=None, first=None, split=None
-    ):
+    def __init__(self, kind, weights=None, tiebreak=None, first=None, split=None):
         self.kind = kind
-        self.priority = tuple(priority) if priority is not None else None
         self.weights = tuple(int(w) for w in weights) if weights is not None else None
         self.tiebreak = tiebreak
-        self.block = frozenset(block) if block is not None else None
         self.first = first
         self.split = split
 
     # -- constructors ----------------------------------------------------------
 
     @classmethod
-    def lex(cls, priority: Sequence[int] | None = None) -> "TermOrder":
-        return cls("lex", priority=priority)
+    def lex(cls) -> "TermOrder":
+        return cls("lex")
 
     @classmethod
-    def degrevlex(cls, priority: Sequence[int] | None = None) -> "TermOrder":
-        return cls("degrevlex", priority=priority)
+    def degrevlex(cls) -> "TermOrder":
+        return cls("degrevlex")
 
     @classmethod
     def weighted(cls, weights: Sequence[int], tiebreak: "TermOrder") -> "TermOrder":
         return cls("weighted", weights=weights, tiebreak=tiebreak)
 
     @classmethod
-    def elimination(cls, block, tiebreak: "TermOrder") -> "TermOrder":
+    def elimination(cls, block, nvars: int, tiebreak: "TermOrder") -> "TermOrder":
         """Order whose initial segment eliminates the block variables."""
-        return cls("elimination", block=block, tiebreak=tiebreak)
+        return cls.weighted([int(i in block) for i in range(nvars)], tiebreak)
 
     @classmethod
     def product(cls, first: "TermOrder", split: int, rest: "TermOrder") -> "TermOrder":
@@ -73,20 +70,14 @@ class TermOrder:
     def key(self, e: Exponent):
         kind = self.kind
         if kind == "lex":
-            if self.priority is None:
-                return e
-            return tuple(e[p] for p in self.priority)
+            return e
         if kind == "degrevlex":
-            if self.priority is not None:
-                e = tuple(e[p] for p in self.priority)
             return (sum(e), tuple(-x for x in reversed(e)))
         if kind == "weighted":
             w = self.weights
             if len(w) != len(e):
                 raise ValueError("weight vector length does not match ring")
-            return (sum(wi * xi for wi, xi in zip(w, e)), self.tiebreak.key(e))
-        if kind == "elimination":
-            return (sum(e[i] for i in self.block), self.tiebreak.key(e))
+            return (sum(map(mul, w, e)), self.tiebreak.key(e))
         if kind == "product":
             return (self.first.key(e[: self.split]), self.tiebreak.key(e[self.split :]))
         raise ValueError(f"unknown order kind {kind}")
@@ -105,8 +96,6 @@ class TermOrder:
             if all(w > 0 for w in self.weights):
                 return True
             return all(w >= 0 for w in self.weights) and self.tiebreak.is_well_order()
-        if self.kind == "elimination":
-            return self.tiebreak.is_well_order()
         if self.kind == "product":
             return self.first.is_well_order() and self.tiebreak.is_well_order()
         return False
@@ -115,10 +104,8 @@ class TermOrder:
         """Hashable identity, used as a cache key for Groebner bases."""
         return (
             self.kind,
-            self.priority,
             self.weights,
             self.tiebreak.tag() if self.tiebreak is not None else None,
-            tuple(sorted(self.block)) if self.block is not None else None,
             self.first.tag() if self.first is not None else None,
             self.split,
         )

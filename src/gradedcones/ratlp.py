@@ -18,30 +18,32 @@ from fractions import Fraction
 FM_VARIABLE_LIMIT = 3  # Fourier-Motzkin below, simplex above
 
 
-def feasible_or_farkas(rows, rhs, nvars: int, engine: str | None = None):
+def feasible_or_farkas(rows, rhs, nvars: int):
     """Solve {x : rows[i] . x >= rhs[i]}.
 
     Returns ("point", x) with x a tuple of Fractions, or
     ("farkas", m) with m the certificate multipliers, one per constraint.
-    engine picks "fm" or "simplex" explicitly; default keys off nvars.
+    The engine is Fourier-Motzkin up to FM_VARIABLE_LIMIT variables and the
+    simplex above; each takes the same arguments and keeps the contract.
     """
+    engine = fourier_motzkin if nvars <= FM_VARIABLE_LIMIT else phase_one_simplex
+    return engine(rows, rhs, nvars)
+
+
+def _exact_system(rows, rhs, nvars: int):
     rows = [tuple(Fraction(v) for v in r) for r in rows]
     rhs = [Fraction(v) for v in rhs]
     if any(len(r) != nvars for r in rows) or len(rows) != len(rhs):
         raise ValueError("inconsistent system shape")
-    if engine is None:
-        engine = "fm" if nvars <= FM_VARIABLE_LIMIT else "simplex"
-    if engine == "fm":
-        return _fourier_motzkin(rows, rhs, nvars)
-    if engine == "simplex":
-        return _phase_one_simplex(rows, rhs, nvars)
-    raise ValueError(f"unknown engine {engine!r}")
+    return rows, rhs
 
 
 # -- Fourier-Motzkin -------------------------------------------------------------
 
 
-def _fourier_motzkin(rows, rhs, nvars: int):
+def fourier_motzkin(rows, rhs, nvars: int):
+    """feasible_or_farkas by eliminating the variables one at a time."""
+    rows, rhs = _exact_system(rows, rhs, nvars)
     n = len(rows)
     # each constraint: (coeffs, rhs, multipliers over the original system)
     def unit(i):
@@ -88,14 +90,15 @@ def _fourier_motzkin(rows, rhs, nvars: int):
 # -- phase-one simplex ------------------------------------------------------------
 
 
-def _phase_one_simplex(rows, rhs, nvars: int):
-    """min sum(artificials) for A x - s + a = b with x free, s, a >= 0.
+def phase_one_simplex(rows, rhs, nvars: int):
+    """feasible_or_farkas by min sum(artificials) for A x - s + a = b, x free, s, a >= 0.
 
     Free x is split into positive and negative parts.  Bland's rule keeps
     the exact pivoting finite.  At optimum zero the x parts give a feasible
     point; at a positive optimum the duals on the constraint rows give the
     Farkas multipliers.
     """
+    rows, rhs = _exact_system(rows, rhs, nvars)
     n = len(rows)
     if n == 0:
         return ("point", tuple(Fraction(0) for _ in range(nvars)))

@@ -9,10 +9,13 @@ and points:
     ideal F = y1^2*y2*y3 + y1*y4 + y2*y3^2*y4 ;
     point P = (1, 1, 1, 1) ;
 
-The grading lists one integer degree vector per variable.  Polynomials use
-^ for powers; * is optional where juxtaposition is unambiguous (tokens are
-split at name/number boundaries, so `2 y1` and `2*y1` agree).  Every error
-carries a 1-based line and column.
+The grading lists one integer degree vector per variable.  A polynomial is
+a signed sum of terms; a term multiplies rationals p or p/q and powers x^k,
+with * or side by side (`2 y1`, `2y1` and `2*y1` agree).  The grammar has no
+parentheses, so each term is one coefficient times one monomial and the
+reader fills the term dictionary directly.  Digits are the decimal digits
+of any script and a name starts with a letter or _.  Every error carries a
+1-based line and column.
 
 Rendering is the exact inverse: rationals print as p/q, terms are sorted by
 the active term order, descending.  parse(format(x)) == x.
@@ -20,8 +23,10 @@ the active term order, descending.  parse(format(x)) == x.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ParseFailure
 from .grading import GradingMap
@@ -31,59 +36,40 @@ from .rings import PolyRing, Polynomial
 RESERVED = {"ring", "grading", "ideal", "point"}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT, INT, PUNCT, EOF
     text: str
     line: int
     column: int
 
 
+# Each match is optional blanks and then one alternative.  \d is
+# str.isdecimal and \w is str.isalnum or _, but a name must start with a
+# letter or _, which tokenize checks.  The last match is always EOF, and a
+# comment that ends the document is part of it, so EOF sits at its #.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:(?P<INT>\d+)|(?P<IDENT>\w+)|(?P<PUNCT>[-+*^/()\[\],;=])"
+    r"|(?P<EOF>(?:\#.*)?\Z)|(?P<NEWLINE>(?:\#.*)?\n)|(?P<BAD>.))"
+)
+
+
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        start = m.start(kind)
+        if kind == "NEWLINE":
             line += 1
-            col = 1
-            i += 1
+            line_start = m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(Token("INT", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("IDENT", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*^/()[],;=":
-            tokens.append(Token("PUNCT", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseFailure(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
-    return tokens
+        column = start - line_start + 1
+        if kind == "BAD" or (kind == "IDENT" and not (text[start].isalpha() or text[start] == "_")):
+            raise ParseFailure(f"unexpected character {text[start]!r}", line, column)
+        if kind == "EOF":
+            tokens.append(Token(kind, "", line, column))
+            return tokens
+        tokens.append(Token(kind, m[kind], line, column))
 
 
 class _Cursor:
@@ -111,69 +97,86 @@ class _Cursor:
         return t.kind == "PUNCT" and t.text == text
 
 
+def _parse_list(cur: _Cursor, item, *args) -> list:
+    """item (',' item)*"""
+    out = [item(cur, *args)]
+    while cur.at_punct(","):
+        cur.next()
+        out.append(item(cur, *args))
+    return out
+
+
 # -- polynomials ---------------------------------------------------------------
 
 
 def _parse_unsigned_int(cur: _Cursor) -> int:
-    t = cur.expect("INT")
-    return int(t.text)
+    return int(cur.expect("INT").text)
 
 
-def _parse_rational(cur: _Cursor) -> Fraction:
+def _parse_signs(cur: _Cursor) -> int:
+    """The product of a run of + and - signs, possibly empty."""
     sign = 1
     while cur.at_punct("-") or cur.at_punct("+"):
         if cur.next().text == "-":
             sign = -sign
+    return sign
+
+
+def _parse_fraction(cur: _Cursor) -> Fraction:
     num = _parse_unsigned_int(cur)
-    if cur.at_punct("/"):
-        cur.next()
-        t = cur.peek()
-        den = _parse_unsigned_int(cur)
-        if den == 0:
-            raise ParseFailure("zero denominator", t.line, t.column)
-        return Fraction(sign * num, den)
-    return Fraction(sign * num)
-
-
-def _parse_factor(cur: _Cursor, ring: PolyRing) -> Polynomial:
+    if not cur.at_punct("/"):
+        return Fraction(num)
+    cur.next()
     t = cur.peek()
-    if t.kind == "INT":
-        return ring.constant(_parse_rational(cur))
-    if t.kind == "IDENT":
-        cur.next()
-        idx = ring.index.get(t.text)
-        if idx is None:
-            raise ParseFailure(f"unknown variable {t.text!r}", t.line, t.column)
-        power = 1
-        if cur.at_punct("^"):
-            cur.next()
-            power = _parse_unsigned_int(cur)
-        return ring.variable(idx) ** power
-    raise ParseFailure(f"expected a term, found {t.text or t.kind!r}", t.line, t.column)
+    den = _parse_unsigned_int(cur)
+    if den == 0:
+        raise ParseFailure("zero denominator", t.line, t.column)
+    return Fraction(num, den)
 
 
-def _parse_term(cur: _Cursor, ring: PolyRing) -> Polynomial:
-    acc = _parse_factor(cur, ring)
+def _parse_rational(cur: _Cursor) -> Fraction:
+    return _parse_signs(cur) * _parse_fraction(cur)
+
+
+def _parse_term(cur: _Cursor, ring: PolyRing) -> tuple[Fraction, tuple[int, ...]]:
+    """Factors joined by * or juxtaposed, as (coefficient, exponent)."""
+    coeff = Fraction(1)
+    exponent = [0] * ring.nvars
     while True:
+        t = cur.peek()
+        if t.kind == "INT":
+            coeff *= _parse_fraction(cur)
+        elif t.kind == "IDENT":
+            cur.next()
+            idx = ring.index.get(t.text)
+            if idx is None:
+                raise ParseFailure(f"unknown variable {t.text!r}", t.line, t.column)
+            if cur.at_punct("^"):
+                cur.next()
+                exponent[idx] += _parse_unsigned_int(cur)
+            else:
+                exponent[idx] += 1
+        else:
+            raise ParseFailure(f"expected a term, found {t.text or t.kind!r}", t.line, t.column)
         if cur.at_punct("*"):
             cur.next()
-            acc = acc * _parse_factor(cur, ring)
-        elif cur.peek().kind in ("IDENT", "INT"):
-            acc = acc * _parse_factor(cur, ring)
-        else:
-            return acc
+        elif cur.peek().kind not in ("IDENT", "INT"):
+            return coeff, tuple(exponent)
 
 
 def _parse_poly(cur: _Cursor, ring: PolyRing) -> Polynomial:
-    sign = 1
-    while cur.at_punct("+") or cur.at_punct("-"):
-        if cur.next().text == "-":
-            sign = -sign
-    acc = _parse_term(cur, ring) * sign
-    while cur.at_punct("+") or cur.at_punct("-"):
+    terms: dict[tuple[int, ...], Fraction] = {}
+    sign = _parse_signs(cur)
+    while True:
+        coeff, e = _parse_term(cur, ring)
+        s = terms.get(e, 0) + sign * coeff
+        if s:
+            terms[e] = s
+        else:
+            terms.pop(e, None)
+        if not (cur.at_punct("+") or cur.at_punct("-")):
+            return Polynomial(ring, terms)
         sign = 1 if cur.next().text == "+" else -1
-        acc = acc + _parse_term(cur, ring) * sign
-    return acc
 
 
 def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
@@ -246,20 +249,19 @@ class SessionInput:
         return None
 
 
+def _parse_int(cur: _Cursor) -> int:
+    sign = 1
+    while cur.at_punct("-"):
+        cur.next()
+        sign = -sign
+    return sign * _parse_unsigned_int(cur)
+
+
 def _parse_int_vector(cur: _Cursor) -> tuple[int, ...]:
     cur.expect("PUNCT", "[")
-    out = []
-    while True:
-        sign = 1
-        while cur.at_punct("-"):
-            cur.next()
-            sign = -sign
-        out.append(sign * _parse_unsigned_int(cur))
-        if cur.at_punct(","):
-            cur.next()
-            continue
-        cur.expect("PUNCT", "]")
-        return tuple(out)
+    out = tuple(_parse_list(cur, _parse_int))
+    cur.expect("PUNCT", "]")
+    return out
 
 
 def _declared_name(cur: _Cursor, session: SessionInput, what: str) -> Token:
@@ -305,13 +307,7 @@ def parse_session(text: str) -> SessionInput:
             if session.grading is not None:
                 raise ParseFailure("grading already declared", t.line, t.column)
             open_tok = cur.expect("PUNCT", "[")
-            columns = []
-            while True:
-                columns.append(_parse_int_vector(cur))
-                if cur.at_punct(","):
-                    cur.next()
-                    continue
-                break
+            columns = _parse_list(cur, _parse_int_vector)
             cur.expect("PUNCT", "]")
             cur.expect("PUNCT", ";")
             if len(columns) != ring.nvars:
@@ -327,14 +323,7 @@ def parse_session(text: str) -> SessionInput:
             ring = _require_ring(session, t)
             name = _declared_name(cur, session, "ideal")
             cur.expect("PUNCT", "=")
-            gens: list[Polynomial] = []
-            if not cur.at_punct(";"):
-                while True:
-                    gens.append(_parse_poly(cur, ring))
-                    if cur.at_punct(","):
-                        cur.next()
-                        continue
-                    break
+            gens = [] if cur.at_punct(";") else _parse_list(cur, _parse_poly, ring)
             cur.expect("PUNCT", ";")
             session.ideals[name.text] = tuple(gens)
         elif t.text == "point":
@@ -342,10 +331,7 @@ def parse_session(text: str) -> SessionInput:
             name = _declared_name(cur, session, "point")
             cur.expect("PUNCT", "=")
             open_tok = cur.expect("PUNCT", "(")
-            coords = [_parse_rational(cur)]
-            while cur.at_punct(","):
-                cur.next()
-                coords.append(_parse_rational(cur))
+            coords = _parse_list(cur, _parse_rational)
             cur.expect("PUNCT", ")")
             cur.expect("PUNCT", ";")
             if len(coords) != ring.nvars:

@@ -189,8 +189,6 @@ def _stabilizing_power(order: TermOrder, alpha: Exponent) -> int:
     while o is not None:
         if o.kind == "weighted":
             scores.append(sum(w * a for w, a in zip(o.weights, alpha)))
-        elif o.kind == "elimination":
-            scores.append(sum(alpha[i] for i in o.block))
         o = o.tiebreak
     return 1 + max(scores)
 

@@ -10,7 +10,7 @@ from gradedcones.grading import (
 )
 from gradedcones.intlinalg import lattice_index, rank
 from gradedcones.orders import TermOrder
-from gradedcones.ratlp import feasible_or_farkas
+from gradedcones.ratlp import fourier_motzkin, phase_one_simplex
 from gradedcones.rings import PolyRing
 
 from helpers import exponents_up_to, random_positive_grading, random_rational
@@ -105,8 +105,8 @@ def test_positivity_witness_golden():
     )
     # omega = (1, 1) works here and the engines both certify positivity
     assert sum(w.omega[k] * G.columns[0][k] for k in range(2)) == w.dots[0]
-    for engine in ("fm", "simplex"):
-        kind, omega = feasible_or_farkas(G.columns, [1] * 4, 2, engine=engine)
+    for engine in (fourier_motzkin, phase_one_simplex):
+        kind, omega = engine(G.columns, [1] * 4, 2)
         assert kind == "point"
         assert all(sum(w * x for w, x in zip(omega, col)) >= 1 for col in G.columns)
 
@@ -117,8 +117,8 @@ def test_non_positive_grading_certificate():
     cert = g.positivity()
     assert isinstance(cert, NonPositivityCertificate)
     assert cert.alpha == (1, 1)
-    for engine in ("fm", "simplex"):
-        kind, alpha = feasible_or_farkas(g.columns, [1, 1], 1, engine=engine)
+    for engine in (fourier_motzkin, phase_one_simplex):
+        kind, alpha = engine(g.columns, [1, 1], 1)
         assert kind == "farkas"
         # u^a v^b is a nonconstant degree-zero monomial
         assert all(a >= 0 for a in alpha) and any(alpha)

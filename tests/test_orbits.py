@@ -27,6 +27,7 @@ from gradedcones.orbits import (
     orbit_dimension,
     point,
     rational_curve_through,
+    torus_restriction,
 )
 from gradedcones.orbits import _nonzero_rational_roots
 from gradedcones.rings import PolyRing
@@ -363,7 +364,7 @@ def test_curve_needs_positive_grading():
 
 def test_curve_composition_profile():
     curve = rational_curve_through(point(Y, (1, 1, 1, 1)), G)
-    profile = curve.compose(F)
+    profile = torus_restriction(F, curve.point, curve.degree)
     # all three monomials land in t-degree 8 and the coefficients add up
     assert profile == {8: Fraction(3)}
 

@@ -17,11 +17,6 @@ def test_lex_basics():
     assert not lex.greater((0, 0, 0), (0, 0, 1))
 
 
-def test_lex_priority_permutation():
-    zfirst = TermOrder.lex(priority=(2, 1, 0))
-    assert zfirst.greater((0, 0, 1), (5, 5, 0))
-
-
 def test_degrevlex_classic_cases():
     o = TermOrder.degrevlex()
     # same total degree: the smaller exponent on the last variable wins
@@ -42,10 +37,27 @@ def test_weighted_order_and_tiebreak():
 
 
 def test_elimination_order_blocks():
-    elim = TermOrder.elimination({0}, TermOrder.degrevlex())
+    elim = TermOrder.elimination({0}, 3, TermOrder.degrevlex())
     # anything with x beats anything without, regardless of degree
     assert elim.greater((1, 0, 0), (0, 9, 9))
     assert elim.greater((0, 1, 0), (0, 0, 1))
+
+
+def test_elimination_keys_match_the_block_degree_key():
+    # the key of the elimination kind that the weighted order replaced
+    def block_key(block, tiebreak, e):
+        return (sum(e[i] for i in block), tiebreak.key(e))
+
+    rng = random.Random(4242)
+    for _ in range(200):
+        nvars = rng.randint(1, 6)
+        block = set(rng.sample(range(nvars), rng.randint(1, nvars)))
+        tiebreak = rng.choice([TermOrder.lex(), TermOrder.degrevlex()])
+        order = TermOrder.elimination(block, nvars, tiebreak)
+        assert order.kind == "weighted" and order.is_well_order()
+        for _ in range(10):
+            e = tuple(rng.randint(0, 5) for _ in range(nvars))
+            assert order.key(e) == block_key(block, tiebreak, e)
 
 
 def test_well_order_detection():
@@ -66,7 +78,7 @@ def test_order_multiplicative_and_total():
         TermOrder.lex(),
         TermOrder.degrevlex(),
         TermOrder.weighted((2, 1, 3), TermOrder.lex()),
-        TermOrder.elimination({1}, TermOrder.degrevlex()),
+        TermOrder.elimination({1}, 3, TermOrder.degrevlex()),
         TermOrder.product(TermOrder.degrevlex(), 2, TermOrder.lex()),
     ]
     for o in orders:

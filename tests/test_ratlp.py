@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from gradedcones.ratlp import feasible_or_farkas
+from gradedcones.ratlp import feasible_or_farkas, fourier_motzkin, phase_one_simplex
 
 
 def check_answer(rows, rhs, nvars, answer):
@@ -59,15 +59,6 @@ def test_shape_validation():
         raise AssertionError("rhs length mismatch must be rejected")
 
 
-def test_unknown_engine():
-    try:
-        feasible_or_farkas([[1]], [0], 1, engine="magic")
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("unknown engine must be rejected")
-
-
 def test_engines_agree_and_certify():
     rng = random.Random(7301)
     verdicts = {"point": 0, "farkas": 0}
@@ -76,8 +67,8 @@ def test_engines_agree_and_certify():
         nrows = rng.randint(1, 6)
         rows = [[Fraction(rng.randint(-3, 3)) for _ in range(nvars)] for _ in range(nrows)]
         rhs = [Fraction(rng.randint(-3, 3)) for _ in range(nrows)]
-        a = feasible_or_farkas(rows, rhs, nvars, engine="fm")
-        b = feasible_or_farkas(rows, rhs, nvars, engine="simplex")
+        a = fourier_motzkin(rows, rhs, nvars)
+        b = phase_one_simplex(rows, rhs, nvars)
         ka = check_answer(rows, rhs, nvars, a)
         kb = check_answer(rows, rhs, nvars, b)
         assert ka == kb

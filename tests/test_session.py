@@ -15,6 +15,8 @@ from gradedcones.session import (
     tokenize,
 )
 
+import reference_reader
+
 EXAMPLE = """\
 ring y1 y2 y3 y4 ;
 grading [[1,2],[1,0],[0,1],[2,3]] ;
@@ -41,9 +43,17 @@ def test_tokenizer_positions():
         ("EOF", ""),
     ]
     assert (toks[3].line, toks[3].column) == (3, 1)
-    with pytest.raises(ParseFailure) as info:
-        tokenize("x ? y")
-    assert info.value.column == 3
+    for text in ("x ? y", "x ² y", "x ½y"):  # ² and ½ are alphanumeric but no letters
+        with pytest.raises(ParseFailure) as info:
+            tokenize(text)
+        assert info.value.column == 3
+    # the column does not advance through a comment that ends the document
+    assert tokenize("x # tail")[-1] == ("EOF", "", 1, 3)
+
+
+def test_reader_matches_the_character_loop_reader():
+    assert not reference_reader.classes_differ()
+    assert reference_reader.mismatches(3000, seed=20090118) == []
 
 
 def test_parse_full_session():

@@ -1,4 +1,5 @@
-"""Property test: formatting a session document and parsing it back is the identity."""
+"""Property tests: formatting a session document and parsing it back is the identity,
+and blanks, line ends, comments and the optional * do not change what is parsed."""
 
 from fractions import Fraction
 
@@ -9,7 +10,13 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from gradedcones.grading import GradingMap  # noqa: E402
 from gradedcones.rings import PolyRing, Polynomial  # noqa: E402
-from gradedcones.session import RESERVED, SessionInput, format_session, parse_session  # noqa: E402
+from gradedcones.session import (  # noqa: E402
+    RESERVED,
+    SessionInput,
+    format_session,
+    parse_session,
+    tokenize,
+)
 
 LETTERS = "adeginloprtxyZ_"  # spells every reserved word
 names = st.builds(
@@ -56,3 +63,24 @@ def sessions(draw):
 @given(sessions())
 def test_format_then_parse_is_the_identity(session):
     assert parse_session(format_session(session)) == session
+
+
+# what may stand between two tokens; a comment runs to the end of its line
+SEPARATORS = ("", " ", "\t  ", "\n", "\r\n", " # note\r\n", "\n# ring x ;\n")
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(sessions(), st.data())
+def test_blanks_comments_and_stars_leave_the_parse_alone(session, data):
+    text = format_session(session)
+    tokens = [t for t in tokenize(text)[:-1] if t.text != "*" or data.draw(st.booleans())]
+    seps = data.draw(st.lists(st.sampled_from(SEPARATORS), min_size=len(tokens), max_size=len(tokens)))
+    out = ""
+    prev = None
+    for sep, tok in zip(seps, tokens):
+        if not sep and prev in ("IDENT", "INT") and tok.kind in ("IDENT", "INT"):
+            sep = " "  # two names or numbers side by side would read as one
+        out += sep + tok.text
+        prev = tok.kind
+    out += data.draw(st.sampled_from(("", "\n", "\r\n", " # end")))
+    assert parse_session(out) == parse_session(text) == session
