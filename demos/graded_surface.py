@@ -18,7 +18,7 @@ print(f"\nF = {F}")
 print(f"F is homogeneous of degree {list(grading.homogeneous_degree(F))}")
 print("  (all three monomials hit the same point of Z^2)")
 
-w = grading.witness()
+w = grading.require_positive()
 print(f"\npositivity witness omega = {list(w.omega)}")
 print(f"  omega . degree(y_i)    = {list(w.dots)}  (all positive)")
 print("so every graded piece is finite dimensional and the origin is the")

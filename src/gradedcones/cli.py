@@ -226,11 +226,8 @@ def _names(ring, indices) -> list[str]:
     return [ring.names[i] for i in indices]
 
 
-def _positivity_report(grading: GradingMap) -> dict:
-    w = grading.positivity()
-    if isinstance(w, PositivityWitness):
-        return {"positive": True, "omega": list(w.omega), "dots": list(w.dots)}
-    return {"positive": False, "certificate": list(w.alpha)}
+def _positivity_report(w: PositivityWitness) -> dict:
+    return {"positive": True, "omega": list(w.omega), "dots": list(w.dots)}
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -239,12 +236,8 @@ def _positivity_report(grading: GradingMap) -> dict:
 def _cmd_check(session, args) -> dict:
     _need_ring(session)
     grading = _need_grading(session)
-    report = {"grading": _positivity_report(grading)}
-    if not report["grading"]["positive"]:
-        raise NonPositiveGradingError(
-            "the grading admits no positive weight vector",
-            grading.positivity().alpha,
-        )
+    w = grading.require_positive("the grading admits no positive weight vector")
+    report = {"grading": _positivity_report(w)}
     ideals = []
     for name in session.ideals:
         cone = homogeneous_ideal(session.ideals[name], grading)
@@ -409,7 +402,7 @@ def _cmd_curve(session, args) -> dict:
     out = {
         "point": name,
         "coordinates": repr(p),
-        "omega": list(grading.witness().omega),
+        "omega": list(grading.require_positive().omega),
         "exponents": list(curve.exponents),
         "at_zero": repr(curve.at(0)),
         "ideal": None,
@@ -451,7 +444,9 @@ def _cmd_stratum(session, args) -> dict:
         raise Rejection(str(err)) from err
     result = compute_reduced_stratum(spec, args.mode)
     scheme = result.scheme
-    out = {
+    cring = scheme.coefficient_ring
+    emb = result.reduced
+    return {
         "ideal": name,
         "order": getattr(args, "order", "degrevlex"),
         "mode": args.mode,
@@ -463,14 +458,8 @@ def _cmd_stratum(session, args) -> dict:
             )
         ],
         "generators": [format_polynomial(g) for g in result.stratum_ideal.generators],
-        "positivity": _positivity_report(result.grading),
-    }
-    if result.reduced is None:
-        out["reduced"] = None
-    else:
-        emb = result.reduced
-        cring = scheme.coefficient_ring
-        out["reduced"] = {
+        "positivity": _positivity_report(scheme.coefficient_grading.require_positive()),
+        "reduced": {
             "eliminated": _names(cring, emb.eliminated),
             "kept": _names(cring, emb.kept),
             "substitution": [
@@ -481,8 +470,8 @@ def _cmd_stratum(session, args) -> dict:
             "embedded_generators": [
                 format_polynomial(g) for g in emb.embedded.base.generators
             ],
-        }
-    return out
+        },
+    }
 
 
 class Command(NamedTuple):

@@ -22,7 +22,7 @@ from itertools import combinations
 
 from .errors import ImproperIdealError, NotHomogeneousError
 from .grading import Degree, GradingMap
-from .ideals import IdealPresentation, krull_dimension
+from .ideals import IdealPresentation, is_proper_homogeneous, krull_dimension
 from .orders import TermOrder
 from .rings import Polynomial
 
@@ -323,9 +323,8 @@ def singular_locus(cone: HomogeneousIdeal) -> SingularLocus:
     if c == 0:
         minors.append(ring.one())
     else:
-        for rows_sel in combinations(range(len(gens)), min(c, len(gens))):
-            if len(rows_sel) < c:
-                break
+        # c is the height of a proper ideal, so c <= len(gens) by Krull's height theorem
+        for rows_sel in combinations(range(len(gens)), c):
             for cols_sel in combinations(range(n), c):
                 minors.append(_poly_det([[jac[r][cc] for cc in cols_sel] for r in rows_sel]))
     # principal ideals always have height 1, so this also covers hypersurfaces
@@ -333,7 +332,7 @@ def singular_locus(cone: HomogeneousIdeal) -> SingularLocus:
     out = IdealPresentation(ring, tuple(gens) + tuple(minors))
     for g in out.generators:
         assert cone.grading.is_homogeneous(g), "Jacobian minor lost homogeneity"
-    empty = not out.is_proper()
+    empty = not is_proper_homogeneous(out)
     return SingularLocus(
         presentation=out, grading=cone.grading, exact=exact, empty=empty, codimension=c
     )

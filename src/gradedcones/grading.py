@@ -9,12 +9,15 @@ zero is just the constants); if no, Gordan duality yields a nonnegative
 integer vector alpha, not zero, with matrix * alpha = 0, i.e. a nonconstant
 monomial of degree zero.  Exactly one of the two exists; both are verified
 exactly before being returned.
+
+This module owns positivity: it alone solves the LP (ratlp) over the
+degree columns, and GradingMap.require_positive is the one place that
+rejects a non-positive grading.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 from . import ratlp
@@ -80,10 +83,6 @@ class GradingMap:
     def __repr__(self) -> str:
         return f"GradingMap({self.ring!r}, {list(self.columns)!r})"
 
-    def matrix_rows(self) -> list[list[int]]:
-        """The m x nvars degree matrix as rows."""
-        return [[c[k] for c in self.columns] for k in range(self.m)]
-
     def degree(self, exponent: Exponent) -> Degree:
         """Degree vector of a monomial: matrix times exponent."""
         out = [0] * self.m
@@ -139,28 +138,19 @@ class GradingMap:
             self._positivity = positivity_witness(self)
         return self._positivity
 
-    def witness(self) -> PositivityWitness | None:
-        w = self.positivity()
-        return w if isinstance(w, PositivityWitness) else None
-
-    def require_positive(self) -> PositivityWitness:
+    def require_positive(
+        self, message: str = "grading admits a nonconstant monomial of degree zero"
+    ) -> PositivityWitness:
         """The positivity witness; a non-positive grading is rejected with
-        its certificate."""
+        its certificate and the caller's message."""
         w = self.positivity()
         if isinstance(w, NonPositivityCertificate):
-            raise NonPositiveGradingError(
-                "grading admits a nonconstant monomial of degree zero", w.alpha
-            )
+            raise NonPositiveGradingError(message, w.alpha)
         return w
 
     def induced_order(self) -> TermOrder:
         """Weighted order from the positivity witness, ties by lex; requires positivity."""
-        w = self.witness()
-        if w is None:
-            raise NonPositiveGradingError(
-                "grading is not positive, no induced order exists",
-                self.positivity().alpha,
-            )
+        w = self.require_positive("grading is not positive, no induced order exists")
         return TermOrder.weighted(w.dots, TermOrder.lex())
 
 
@@ -174,9 +164,7 @@ def positivity_witness(grading: GradingMap):
     cols = grading.columns
     if not cols:
         return PositivityWitness(omega=(0,) * grading.m, dots=())
-    rows = [tuple(Fraction(x) for x in c) for c in cols]
-    rhs = [Fraction(1)] * len(cols)
-    status, data = ratlp.feasible_or_farkas(rows, rhs, grading.m)
+    status, data = ratlp.feasible_or_farkas(cols, grading.m)
     if status == "point":
         den = lcm(*[v.denominator for v in data]) if data else 1
         omega = tuple(int(v * den) for v in data)

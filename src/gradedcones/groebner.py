@@ -153,7 +153,6 @@ def buchberger(
     order: TermOrder,
     *,
     ring: PolyRing | None = None,
-    limit: int | None = None,
 ) -> GroebnerBasis:
     """The unique reduced Groebner basis of the ideal the generators span."""
     if not order.is_well_order():
@@ -164,7 +163,7 @@ def buchberger(
             raise ValueError("empty generator list needs an explicit ring")
         return GroebnerBasis(ring, order, (), (), {"pairs_processed": 0, "basis_size": 0})
     ring = gens[0].ring
-    cap = pair_limit() if limit is None else limit
+    cap = pair_limit()
 
     basis: list[Polynomial] = []
     leads: list[Exponent] = []

@@ -71,6 +71,17 @@ class IdealPresentation:
         return f"Ideal({inside})"
 
 
+def is_proper_homogeneous(a: IdealPresentation) -> bool:
+    """Properness of an ideal whose generators are homogeneous for a positive grading.
+
+    Such an ideal is the unit ideal exactly when one generator is a nonzero
+    constant: a positive grading gives every nonconstant monomial a nonzero
+    degree, so every other homogeneous generator lies in the ideal of the
+    origin.  No Groebner basis is needed.
+    """
+    return not any(g.is_constant() for g in a.generators)
+
+
 def ideal_sum(a: IdealPresentation, b: IdealPresentation) -> IdealPresentation:
     if a.ring != b.ring:
         raise ValueError("mixed rings")

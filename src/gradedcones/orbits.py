@@ -23,17 +23,13 @@ from math import gcd
 
 from . import intlinalg
 from .cones import HomogeneousIdeal, homogeneous_ideal
-from .errors import (
-    DependentColumnsError,
-    NonPositiveGradingError,
-    NoRationalPointError,
-    Rejection,
-)
+from .errors import DependentColumnsError, NoRationalPointError, Rejection
 from .grading import GradingMap
 from .ideals import (
     IdealPresentation,
     eliminate,
     ideal_sum,
+    is_proper_homogeneous,
     krull_dimension,
     saturate,
 )
@@ -53,9 +49,6 @@ class RationalPoint:
 
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.coords) if c != 0)
-
-    def is_origin(self) -> bool:
-        return not self.support()
 
     def __repr__(self) -> str:
         from .session import format_rational
@@ -233,9 +226,11 @@ def low_orbit_stratum(grading: GradingMap, mu0: int) -> CoordinateSubspaceUnion:
 
 def nonvanishing_coordinates(cone: HomogeneousIdeal) -> tuple[int, ...]:
     """Variables that do not vanish identically on the cone."""
-    weights = cone.grading.witness().dots
+    weights = cone.grading.require_positive().dots
     return tuple(
-        i for i in range(cone.ring.nvars) if saturate(cone.base, [i], weights).is_proper()
+        i
+        for i in range(cone.ring.nvars)
+        if is_proper_homogeneous(saturate(cone.base, [i], weights))
     )
 
 
@@ -266,7 +261,7 @@ def find_one_dim_orbit(cone: HomogeneousIdeal) -> RationalPoint:
         raise Rejection("the cone is just the origin; no positive-dimensional orbit")
     grading = cone.grading
     ring = cone.ring
-    weights = grading.witness().dots
+    weights = grading.require_positive().dots
     stratum = low_orbit_stratum(grading, 1)
     queue = sorted(s for s in stratum.components if s)
     seen = set(queue)
@@ -280,7 +275,7 @@ def find_one_dim_orbit(cone: HomogeneousIdeal) -> RationalPoint:
         off = [ring.variable(j) for j in range(ring.nvars) if j not in support]
         restricted = ideal_sum(cone.base, IdealPresentation(ring, off))
         saturated = saturate(restricted, support, weights)
-        if saturated.is_proper():
+        if is_proper_homogeneous(saturated):
             found = _assign(cone, saturated, support, list(support), {})
             if found is not None:
                 return found
@@ -528,11 +523,7 @@ def rational_curve_through(p: RationalPoint, grading: GradingMap) -> RationalCur
     """
     if p.ring != grading.ring:
         raise ValueError("point and grading live on different rings")
-    w = grading.witness()
-    if w is None:
-        raise NonPositiveGradingError(
-            "curves to the origin need a positive grading", grading.positivity().alpha
-        )
+    w = grading.require_positive("curves to the origin need a positive grading")
     g = gcd(*w.dots) if w.dots else 1
     exponents = tuple(d // g for d in w.dots)
     return RationalCurve(point=p, exponents=exponents)

@@ -85,10 +85,6 @@ class TermOrder:
     def greater(self, a: Exponent, b: Exponent) -> bool:
         return self.key(a) > self.key(b)
 
-    def compare(self, a: Exponent, b: Exponent) -> int:
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
-
     def is_well_order(self) -> bool:
         if self.kind in ("lex", "degrevlex"):
             return True
@@ -132,11 +128,6 @@ class TermOrder:
 
     def leading_coefficient(self, p: Polynomial):
         return p.terms[self.leading_exponent(p)]
-
-    def monic(self, p: Polynomial) -> Polynomial:
-        if p.is_zero():
-            return p
-        return p * (1 / self.leading_coefficient(p))
 
     def positive_leading(self, p: Polynomial) -> Polynomial:
         """Flip the sign if the leading coefficient is negative."""

@@ -1,14 +1,17 @@
-"""Exact rational linear feasibility with Farkas certificates.
+"""Exact positivity LP with Farkas certificates.
 
-The one problem solved here: given rational constraint rows a_i and right
-hand sides b_i, find x with a_i . x >= b_i for all i, or produce a Farkas
-certificate, i.e. multipliers m >= 0 with sum m_i a_i = 0 and
-sum m_i b_i > 0 (a nonnegative combination of the constraints reading
-0 >= positive, which refutes feasibility).
+The one problem solved here: given integer columns c_i of length nvars,
+find a rational omega with omega . c_i >= 1 for all i, or produce a Farkas
+certificate, i.e. multipliers m >= 0 with sum m_i c_i = 0 and
+sum m_i > 0 (a nonnegative combination of the constraints reading
+0 >= positive, which refutes feasibility).  This is the LP behind the
+positivity of a grading, whose columns are the variables' degree vectors.
 
 Two engines implement the same contract and cross-check each other in the
 tests: Fourier-Motzkin elimination for few variables, and a phase-one
-simplex with Bland's rule for the rest.  All arithmetic is over Fraction.
+simplex with Bland's rule for the rest.  Fourier-Motzkin eliminates in
+integers and divides, over Fraction, only in back-substitution; the
+simplex tableau is over Fraction.
 """
 
 from __future__ import annotations
@@ -18,38 +21,26 @@ from fractions import Fraction
 FM_VARIABLE_LIMIT = 3  # Fourier-Motzkin below, simplex above
 
 
-def feasible_or_farkas(rows, rhs, nvars: int):
-    """Solve {x : rows[i] . x >= rhs[i]}.
+def feasible_or_farkas(columns, nvars: int):
+    """Solve {omega : omega . columns[i] >= 1}.
 
-    Returns ("point", x) with x a tuple of Fractions, or
-    ("farkas", m) with m the certificate multipliers, one per constraint.
+    Returns ("point", omega) with omega a tuple of Fractions, or
+    ("farkas", m) with m the certificate multipliers, one per column.
     The engine is Fourier-Motzkin up to FM_VARIABLE_LIMIT variables and the
     simplex above; each takes the same arguments and keeps the contract.
     """
     engine = fourier_motzkin if nvars <= FM_VARIABLE_LIMIT else phase_one_simplex
-    return engine(rows, rhs, nvars)
-
-
-def _exact_system(rows, rhs, nvars: int):
-    rows = [tuple(Fraction(v) for v in r) for r in rows]
-    rhs = [Fraction(v) for v in rhs]
-    if any(len(r) != nvars for r in rows) or len(rows) != len(rhs):
-        raise ValueError("inconsistent system shape")
-    return rows, rhs
+    return engine(columns, nvars)
 
 
 # -- Fourier-Motzkin -------------------------------------------------------------
 
 
-def fourier_motzkin(rows, rhs, nvars: int):
+def fourier_motzkin(columns, nvars: int):
     """feasible_or_farkas by eliminating the variables one at a time."""
-    rows, rhs = _exact_system(rows, rhs, nvars)
-    n = len(rows)
+    n = len(columns)
     # each constraint: (coeffs, rhs, multipliers over the original system)
-    def unit(i):
-        return tuple(Fraction(1) if k == i else Fraction(0) for k in range(n))
-
-    system = [(rows[i], rhs[i], unit(i)) for i in range(n)]
+    system = [(tuple(c), 1, (0,) * i + (1,) + (0,) * (n - i - 1)) for i, c in enumerate(columns)]
     stack = []  # systems before eliminating variable j, for back-substitution
     for j in range(nvars - 1, -1, -1):
         stack.append((j, system))
@@ -75,9 +66,9 @@ def fourier_motzkin(rows, rhs, nvars: int):
         for coeffs, b, _ in sys_j:
             rest = b - sum(coeffs[k] * point[k] for k in range(nvars) if k != j)
             if coeffs[j] > 0:
-                lowers.append(rest / coeffs[j])
+                lowers.append(Fraction(rest, coeffs[j]))
             elif coeffs[j] < 0:
-                uppers.append(rest / coeffs[j])
+                uppers.append(Fraction(rest, coeffs[j]))
         if lowers:
             point[j] = max(lowers)
         elif uppers:
@@ -90,43 +81,35 @@ def fourier_motzkin(rows, rhs, nvars: int):
 # -- phase-one simplex ------------------------------------------------------------
 
 
-def phase_one_simplex(rows, rhs, nvars: int):
-    """feasible_or_farkas by min sum(artificials) for A x - s + a = b, x free, s, a >= 0.
+def phase_one_simplex(columns, nvars: int):
+    """feasible_or_farkas by min sum(artificials) for C x - s + a = 1, x free, s, a >= 0.
 
-    Free x is split into positive and negative parts.  Bland's rule keeps
-    the exact pivoting finite.  At optimum zero the x parts give a feasible
-    point; at a positive optimum the duals on the constraint rows give the
-    Farkas multipliers.
+    C has the columns as its rows.  Free x is split into positive and
+    negative parts.  Bland's rule keeps the exact pivoting finite.  At
+    optimum zero the x parts give a feasible point; at a positive optimum
+    the duals on the constraint rows give the Farkas multipliers.
     """
-    rows, rhs = _exact_system(rows, rhs, nvars)
-    n = len(rows)
+    n = len(columns)
     if n == 0:
         return ("point", tuple(Fraction(0) for _ in range(nvars)))
-    # flip rows so every rhs is nonnegative; remember the orientation
-    sign = [1 if b >= 0 else -1 for b in rhs]
-    a_rows = [tuple(sign[i] * v for v in rows[i]) for i in range(n)]
-    b_col = [sign[i] * rhs[i] for i in range(n)]
-    # columns: x+ (nvars), x- (nvars), slack s (n), artificial a (n)
-    ncols = 2 * nvars + 2 * n
-
-    def column(i, j):
-        if j < nvars:
-            return a_rows[i][j]
-        if j < 2 * nvars:
-            return -a_rows[i][j - nvars]
-        if j < 2 * nvars + n:
-            return -sign[i] * Fraction(j - 2 * nvars == i)
-        return Fraction(j - (2 * nvars + n) == i)
-
+    # columns: x+ (nvars), x- (nvars), slack s (n), artificial a (n);
     # dense tableau: T[i] = row of coefficients + rhs; basis starts artificial
-    tableau = [[column(i, j) for j in range(ncols)] + [b_col[i]] for i in range(n)]
+    ncols = 2 * nvars + 2 * n
+    tableau = [
+        [Fraction(v) for v in c]
+        + [Fraction(-v) for v in c]
+        + [Fraction(-(k == i)) for k in range(n)]
+        + [Fraction(k == i) for k in range(n)]
+        + [Fraction(1)]
+        for i, c in enumerate(columns)
+    ]
     basis = [2 * nvars + n + i for i in range(n)]
     # objective row for min sum(a): reduced costs c_j - z_j with z from basis
     obj = [Fraction(0)] * (ncols + 1)
     for j in range(ncols):
         s = sum(tableau[i][j] for i in range(n))
         obj[j] = (Fraction(1) if j >= 2 * nvars + n else Fraction(0)) - s
-    obj[ncols] = -sum(row[ncols] for row in tableau)
+    obj[ncols] = Fraction(-n)
 
     while True:
         enter = next((j for j in range(ncols) if obj[j] < 0), None)
@@ -165,10 +148,7 @@ def phase_one_simplex(rows, rhs, nvars: int):
                 xs[b - nvars] -= tableau[i][ncols]
         return ("point", tuple(xs))
     # duals: y_i = c_B B^-1 e_i = 1 - reduced cost of artificial column i
-    mult = []
-    for i in range(n):
-        y = Fraction(1) - obj[2 * nvars + n + i]
-        mult.append(sign[i] * y)
+    mult = tuple(Fraction(1) - obj[2 * nvars + n + i] for i in range(n))
     if any(m < 0 for m in mult) or all(m == 0 for m in mult):
         raise ArithmeticError("simplex produced an invalid certificate")
-    return ("farkas", tuple(mult))
+    return ("farkas", mult)

@@ -135,12 +135,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(exp_total(e) == 0 for e in self.terms)
 
-    def total_degree(self) -> int:
-        """Maximal standard degree of a term; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(exp_total(e) for e in self.terms)
-
     def degree_component(self, d: int) -> "Polynomial":
         """The standard-degree-d part."""
         return Polynomial(

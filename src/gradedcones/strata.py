@@ -11,8 +11,11 @@ fully reduced remainders cut out the stratum inside affine C-space.
 Grading the C-variables by head minus tail makes every stratum equation
 multigraded, so the whole cone machinery applies; in particular the linear
 parts can be eliminated to land in the smallest ambient space.  That grading
-is validated on every computed equation rather than assumed, and its
-positivity is decided per instance.
+is validated on every computed equation rather than assumed.  It is always
+positive: a term order agrees with a positive integer weight on the finitely
+many (head, tail) pairs (Sturmfels, Groebner Bases and Convex Polytopes,
+Prop. 1.11), and that weight is positive on every head minus tail.  The
+positivity LP is still solved, for the witness the report prints.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from itertools import combinations
 
 from .cones import EmbeddingResult, homogeneous_ideal, minimal_embedding
 from .errors import Rejection
-from .grading import GradingMap, NonPositivityCertificate, PositivityWitness
+from .grading import GradingMap
 from .groebner import normal_form, s_polynomial
 from .ideals import IdealPresentation
 from .orders import TermOrder
@@ -141,6 +144,9 @@ def _same_degree_exponents(nvars: int, degree: int):
         if degree == 0:
             yield ()
         return
+    if nvars == 1:
+        yield (degree,)
+        return
     for first in range(degree, -1, -1):
         for rest in _same_degree_exponents(nvars - 1, degree - first):
             yield (first,) + rest
@@ -197,8 +203,6 @@ def _stabilizing_power(order: TermOrder, alpha: Exponent) -> int:
 class StratumResult:
     scheme: TailScheme
     stratum_ideal: IdealPresentation  # in the coefficient ring
-    grading: GradingMap
-    positivity: PositivityWitness | NonPositivityCertificate
     reduced: EmbeddingResult | None = None
 
 
@@ -261,24 +265,17 @@ def stratum_ideal(scheme: TailScheme) -> StratumResult:
             raise ArithmeticError(
                 "stratum equation is not homogeneous for the head-minus-tail grading"
             )
-    return StratumResult(
-        scheme=scheme,
-        stratum_ideal=IdealPresentation(cring, generators),
-        grading=grading,
-        positivity=grading.positivity(),
-    )
+    return StratumResult(scheme=scheme, stratum_ideal=IdealPresentation(cring, generators))
 
 
 def reduced_stratum(j: MonomialIdealSpec, mode: str = "homogeneous") -> StratumResult:
     """Stratum ideal re-embedded in its tangent space at the origin.
 
     Eliminates one coefficient per independent linear form among the
-    equations.  When the coefficient grading is not positive the embedding
-    machinery does not apply and the unreduced result carries the
-    certificate instead.
+    equations.
     """
     result = stratum_ideal(tail_scheme(j, mode))
-    if isinstance(result.positivity, NonPositivityCertificate):
-        return result
-    cone = homogeneous_ideal(result.stratum_ideal.generators, result.grading)
+    cone = homogeneous_ideal(
+        result.stratum_ideal.generators, result.scheme.coefficient_grading
+    )
     return replace(result, reduced=minimal_embedding(cone))

@@ -6,7 +6,7 @@ its own; nothing here touches global state.
 
 from fractions import Fraction
 
-from gradedcones import GradingMap, PolyRing, Polynomial
+from gradedcones import GradingMap, PolyRing, Polynomial, PositivityWitness
 
 
 def random_rational(rng, lo=-4, hi=4, nonzero=False) -> Fraction:
@@ -21,7 +21,7 @@ def random_positive_grading(rng, ring: PolyRing, m: int) -> GradingMap:
     while True:
         cols = [tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(ring.nvars)]
         g = GradingMap(ring, cols)
-        if g.witness() is not None:
+        if isinstance(g.positivity(), PositivityWitness):
             return g
 
 

@@ -174,7 +174,7 @@ def test_criterion_05_graded_ideal_arithmetic():
             b = IdealPresentation(
                 ring, random_homogeneous_generators(rng, grading, max_gens=3)
             )
-            weights = grading.witness().dots
+            weights = grading.require_positive().dots
             saturated = saturate(a, [rng.randrange(nvars)], weights)
             for combined in (ideal_sum(a, b), saturated):
                 for g in combined.generators:
@@ -270,8 +270,8 @@ def test_criterion_09_groebner_strata():
         j = MonomialIdealSpec(ring, ((2, 0), (1, 1)), lex)
         result = reduced_stratum(j)
         assert [repr(g) for g in result.stratum_ideal.generators] == ["C1 + C2^2"]
-        assert result.grading.columns == ((2, -2), (1, -1))
-        assert isinstance(result.positivity, PositivityWitness)
+        assert result.scheme.coefficient_grading.columns == ((2, -2), (1, -1))
+        assert isinstance(result.scheme.coefficient_grading.positivity(), PositivityWitness)
         assert result.reduced.embedded.base.is_zero_ideal()
         assert result.reduced.embedded.ring.names == ("C2",)
 
@@ -309,7 +309,7 @@ def test_criterion_10_curves_to_the_origin():
             curve = rational_curve_through(p, G)
             assert curve.exponents == (3, 1, 1, 5)
             assert gcd(*curve.exponents) == 1
-            assert curve.at(0).is_origin()
+            assert curve.at(0).support() == ()
             assert curve.at(1) == p
             if F.evaluate(list(coords)) == 0:
                 tested_on_surface += 1

@@ -116,6 +116,17 @@ def test_smooth_and_dim(run):
     assert json.loads(out)["result"]["dimension"] == 3
 
 
+def test_singular_locus_of_the_zero_ideal(run):
+    # codimension 0: the locus ideal is the unit ideal, exactly
+    doc = "ring x y ;\ngrading [[1],[2]] ;\nideal F = ;\n"
+    code, out = run(["singular", "--json"], doc=doc)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["codimension"] == 0
+    assert result["empty"] is True and result["exact"] is True
+    assert result["generators"] == ["1"]
+
+
 def test_gb_orders(run):
     doc = "ring x y ;\nideal J = x^2, x y ;\n"
     code, out = run(["gb", "--order", "lex", "--json"], doc=doc)
@@ -204,6 +215,7 @@ def test_rejection_carries_certificate(run):
     assert code == 1
     d = json.loads(out)["diagnostics"]
     assert d["error"] == "NonPositiveGradingError"
+    assert d["message"] == "the grading admits no positive weight vector"
     assert d["certificate"] == [1, 1]
 
 

@@ -1,7 +1,12 @@
 """Multigradings: degrees, homogeneous decomposition, positivity, induced orders."""
 
+import ast
 import random
+from pathlib import Path
 
+import pytest
+
+import gradedcones
 from gradedcones.errors import NonPositiveGradingError, NotHomogeneousError
 from gradedcones.grading import (
     GradingMap,
@@ -50,7 +55,7 @@ def test_degree_golden():
     assert G.degree((0, 1, 2, 1)) == (3, 5)
     assert G.degree((0, 0, 0, 0)) == (0, 0)
     assert G.homogeneous_degree(F) == (3, 5)
-    assert G.matrix_rows() == [[1, 1, 0, 2], [2, 0, 1, 3]]
+    assert [G.degree(tuple(int(k == i) for k in range(4))) for i in range(4)] == list(G.columns)
 
 
 def test_degree_is_additive():
@@ -97,7 +102,7 @@ def test_homogeneity_predicates():
 
 
 def test_positivity_witness_golden():
-    w = G.witness()
+    w = G.require_positive()
     assert isinstance(w, PositivityWitness)
     assert all(
         sum(a * b for a, b in zip(w.omega, col)) == d > 0
@@ -106,7 +111,7 @@ def test_positivity_witness_golden():
     # omega = (1, 1) works here and the engines both certify positivity
     assert sum(w.omega[k] * G.columns[0][k] for k in range(2)) == w.dots[0]
     for engine in (fourier_motzkin, phase_one_simplex):
-        kind, omega = engine(G.columns, [1] * 4, 2)
+        kind, omega = engine(G.columns, 2)
         assert kind == "point"
         assert all(sum(w * x for w, x in zip(omega, col)) >= 1 for col in G.columns)
 
@@ -118,7 +123,7 @@ def test_non_positive_grading_certificate():
     assert isinstance(cert, NonPositivityCertificate)
     assert cert.alpha == (1, 1)
     for engine in (fourier_motzkin, phase_one_simplex):
-        kind, alpha = engine(g.columns, [1, 1], 1)
+        kind, alpha = engine(g.columns, 1)
         assert kind == "farkas"
         # u^a v^b is a nonconstant degree-zero monomial
         assert all(a >= 0 for a in alpha) and any(alpha)
@@ -152,8 +157,41 @@ def test_induced_order_requires_positivity():
         g.induced_order()
     except NonPositiveGradingError as err:
         assert err.certificate == (1, 1)
+        assert str(err) == "grading is not positive, no induced order exists"
     else:
         raise AssertionError("non-positive grading has no induced order")
+
+
+def test_require_positive_is_the_one_gate():
+    ring = PolyRing(("u", "v"))
+    g = GradingMap(ring, [(1,), (-1,)])
+    with pytest.raises(NonPositiveGradingError) as info:
+        g.require_positive()
+    assert str(info.value) == "grading admits a nonconstant monomial of degree zero"
+    assert info.value.certificate == (1, 1)
+    with pytest.raises(NonPositiveGradingError, match="^curves to the origin"):
+        g.require_positive("curves to the origin need a positive grading")
+    assert G.require_positive() is G.positivity()
+
+
+def test_only_grading_solves_the_lp_and_rejects_a_grading():
+    src = Path(gradedcones.__file__).parent
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name == "NonPositiveGradingError":
+                    offenders.append((path.name, node.lineno, "raises"))
+            elif isinstance(node, ast.ImportFrom):
+                names = {a.name for a in node.names}
+                if (node.module or "").endswith("ratlp") or "ratlp" in names:
+                    offenders.append((path.name, node.lineno, "imports ratlp"))
+            elif isinstance(node, ast.Import):
+                if any(a.name.endswith("ratlp") for a in node.names):
+                    offenders.append((path.name, node.lineno, "imports ratlp"))
+    assert {o[0] for o in offenders} == {"grading.py"}, offenders
 
 
 def test_random_positive_gradings_behave():
@@ -161,8 +199,8 @@ def test_random_positive_gradings_behave():
     ring = PolyRing(("a", "b", "c"))
     for _ in range(15):
         g = random_positive_grading(rng, ring, 2)
-        w = g.witness()
-        assert w is not None and all(d > 0 for d in w.dots)
+        w = g.require_positive()
+        assert all(d > 0 for d in w.dots)
         # any product of homogeneous monomials is homogeneous
         e1 = tuple(rng.randint(0, 3) for _ in range(3))
         e2 = tuple(rng.randint(0, 3) for _ in range(3))

@@ -120,10 +120,11 @@ def test_empty_generators_need_ring():
     assert buchberger([P("x")], LEX).stats == {"pairs_processed": 0, "basis_size": 1}
 
 
-def test_pair_limit_cap():
+def test_pair_limit_cap(monkeypatch):
     gens = [P("x^3 - y^2"), P("x^2 y - 1"), P("y^4 - x")]
+    monkeypatch.setenv(PAIR_LIMIT_ENV, "1")
     with pytest.raises(ResourceLimitError) as info:
-        buchberger(gens, LEX, limit=1)
+        buchberger(gens, LEX)
     assert info.value.limit == 1
     assert info.value.processed == info.value.limit + 1
 

@@ -11,6 +11,7 @@ from gradedcones.ideals import (
     IdealPresentation,
     eliminate,
     ideal_sum,
+    is_proper_homogeneous,
     krull_dimension,
     saturate,
 )
@@ -135,7 +136,7 @@ def _saturation_cases(seed: int, count: int):
             gens = random_homogeneous_generators(rng, grading, max_gens=3, max_degree=3)
             a = IdealPresentation(ring, gens)
         variables = sorted(rng.sample(range(n), rng.randint(1, n)))
-        yield a, variables, grading.witness().dots
+        yield a, variables, grading.require_positive().dots
 
 
 def test_graded_saturation_matches_the_auxiliary_variable_path():
@@ -143,6 +144,18 @@ def test_graded_saturation_matches_the_auxiliary_variable_path():
     for a, variables, weights in _saturation_cases(20090122, 300):
         graded = saturate(a, variables, weights).groebner(lex).elements
         assert graded == _rabinowitsch(a, variables).groebner(lex).elements, (a, variables)
+
+
+def test_graded_properness_rule_matches_the_basis():
+    verdicts = {True: 0, False: 0}
+    for a, variables, weights in _saturation_cases(20090125, 60):
+        ideals = [a, saturate(a, variables, weights)]
+        ideals += [saturate(a, [i], weights) for i in range(a.ring.nvars)]
+        for b in ideals:
+            verdict = is_proper_homogeneous(b)
+            assert verdict == b.is_proper(), b
+            verdicts[verdict] += 1
+    assert verdicts[True] > 50 and verdicts[False] > 5
 
 
 def test_graded_saturation_matches_sympy():

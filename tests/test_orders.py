@@ -33,7 +33,7 @@ def test_weighted_order_and_tiebreak():
     assert w.greater((1, 0, 0), (0, 2, 0))  # weight 3 beats 2
     assert w.greater((0, 3, 0), (1, 0, 0)) is False  # tie at 3, lex picks x
     assert w.greater((1, 0, 0), (0, 3, 0))
-    assert w.compare((0, 1, 0), (0, 0, 1)) == 1  # equal weight, lex on y vs z
+    assert w.greater((0, 1, 0), (0, 0, 1))  # equal weight, lex on y vs z
 
 
 def test_elimination_order_blocks():
@@ -86,12 +86,13 @@ def test_order_multiplicative_and_total():
             a = tuple(rng.randint(0, 4) for _ in range(3))
             b = tuple(rng.randint(0, 4) for _ in range(3))
             c = tuple(rng.randint(0, 4) for _ in range(3))
-            # totality
-            assert (o.compare(a, b) == 0) == (o.key(a) == o.key(b))
+            # totality: distinct monomials never tie
+            assert (a == b) == (o.key(a) == o.key(b))
             # multiplication by c preserves the comparison
             ac = tuple(x + y for x, y in zip(a, c))
             bc = tuple(x + y for x, y in zip(b, c))
-            assert o.compare(a, b) == o.compare(ac, bc)
+            assert o.greater(a, b) == o.greater(ac, bc)
+            assert o.greater(b, a) == o.greater(bc, ac)
 
 
 def test_sorted_terms_and_leading():
@@ -106,7 +107,7 @@ def test_sorted_terms_and_leading():
 def test_monic_and_positive_leading():
     lex = TermOrder.lex()
     p = parse_polynomial(R3, "-2 x + y")
-    assert lex.monic(p) == parse_polynomial(R3, "x - 1/2 y")
+    assert p * (1 / lex.leading_coefficient(p)) == parse_polynomial(R3, "x - 1/2 y")
     assert lex.positive_leading(p) == parse_polynomial(R3, "2 x - y")
     assert lex.positive_leading(-p) == parse_polynomial(R3, "2 x - y")
 

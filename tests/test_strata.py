@@ -1,6 +1,8 @@
 """Groebner strata: tail schemes, stratum equations, reduced embeddings."""
 
+import random
 from fractions import Fraction
+from math import comb
 
 from gradedcones.errors import Rejection
 from gradedcones.grading import PositivityWitness
@@ -10,6 +12,7 @@ from gradedcones.orders import TermOrder
 from gradedcones.rings import PolyRing, Polynomial
 from gradedcones.strata import (
     MonomialIdealSpec,
+    _same_degree_exponents,
     reduced_stratum,
     stratum_ideal,
     tail_scheme,
@@ -53,7 +56,7 @@ def test_tail_scheme_one_head():
     assert s.coefficient_grading.columns == ((1, -1),)
     r = stratum_ideal(s)
     assert r.stratum_ideal.is_zero_ideal()
-    assert isinstance(r.positivity, PositivityWitness)
+    assert isinstance(s.coefficient_grading.positivity(), PositivityWitness)
 
 
 def test_tail_scheme_square_of_the_maximal_ideal():
@@ -73,7 +76,7 @@ def test_stratum_golden_two_heads():
     assert s.coefficient_grading.columns == ((2, -2), (1, -1))
     r = stratum_ideal(s)
     assert [repr(g) for g in r.stratum_ideal.generators] == ["C1 + C2^2"]
-    assert isinstance(r.positivity, PositivityWitness)
+    assert isinstance(s.coefficient_grading.positivity(), PositivityWitness)
     rr = reduced_stratum(j)
     assert rr.reduced is not None
     assert rr.reduced.eliminated == (0,) and rr.reduced.kept == (1,)
@@ -154,7 +157,7 @@ def test_three_variable_borel_ideal():
     j = MonomialIdealSpec(ring, ((2, 0, 0), (1, 1, 0), (0, 2, 0)), TermOrder.degrevlex())
     r = reduced_stratum(j)
     for g in r.stratum_ideal.generators:
-        assert r.grading.is_homogeneous(g)
+        assert r.scheme.coefficient_grading.is_homogeneous(g)
     if r.reduced is not None:
         d1 = krull_dimension(
             IdealPresentation(
@@ -174,6 +177,54 @@ def test_mixed_sign_columns_still_admit_a_witness():
     order = TermOrder.weighted((1, 3), TermOrder.lex())
     j = MonomialIdealSpec(ring, ((0, 1), (3, 0)), order)
     result = reduced_stratum(j, mode="full")
-    assert any(any(v < 0 for v in col) for col in result.grading.columns)
-    assert isinstance(result.positivity, PositivityWitness)
+    grading = result.scheme.coefficient_grading
+    assert any(any(v < 0 for v in col) for col in grading.columns)
+    assert isinstance(grading.positivity(), PositivityWitness)
     assert result.reduced is not None
+
+
+def test_same_degree_exponents_each_once():
+    for n in range(1, 5):
+        for d in range(7):
+            found = list(_same_degree_exponents(n, d))
+            assert len(found) == len(set(found)) == comb(n + d - 1, d)
+            assert all(len(e) == n and min(e) >= 0 and sum(e) == d for e in found)
+    assert list(_same_degree_exponents(0, 0)) == [()]
+    assert list(_same_degree_exponents(0, 2)) == []
+
+
+def _random_monomial_ideal(rng, nvars):
+    """Minimal generators of a random monomial ideal, small degrees."""
+    pool = sorted(
+        {tuple(rng.randint(0, 3) for _ in range(nvars)) for _ in range(rng.randint(1, 4))}
+        - {(0,) * nvars}
+    )
+    return tuple(
+        e for e in pool if not any(f != e and all(x <= y for x, y in zip(f, e)) for f in pool)
+    )
+
+
+def test_every_coefficient_grading_is_positive():
+    # a term order agrees with a positive weight on the finitely many
+    # (head, tail) pairs, which is a positivity witness for head minus tail;
+    # four variables take the simplex, so those schemes are kept small
+    rng = random.Random(20090126)
+    checked = 0
+    while checked < 240:
+        nvars = rng.choice((2, 3, 3, 4))
+        ring = PolyRing(tuple("xyzw"[:nvars]))
+        gens = _random_monomial_ideal(rng, nvars)
+        if not gens:
+            continue
+        weights = tuple(rng.randint(1, 4) for _ in range(nvars))
+        for order in (LEX, DRL, TermOrder.weighted(weights, LEX)):
+            for mode in ("homogeneous", "full"):
+                try:
+                    scheme = tail_scheme(MonomialIdealSpec(ring, gens, order), mode)
+                except Rejection:
+                    continue  # infinitely many tails
+                if scheme.coefficient_ring.nvars > (40 if nvars < 4 else 12):
+                    continue
+                w = scheme.coefficient_grading.positivity()
+                assert isinstance(w, PositivityWitness), (gens, order, mode)
+                checked += 1
