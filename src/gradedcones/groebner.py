@@ -70,6 +70,10 @@ def normal_form(f: Polynomial, basis, order: TermOrder, leads=None) -> Polynomia
     per element, as the caller already holds them; basis then must not
     contain the zero polynomial.  Without leads they are computed here,
     skipping zero elements.
+
+    Coefficients are Fractions, or polynomials over Q (Polynomials of one
+    coefficient ring) when every basis element's leading coefficient is a
+    unit, a nonzero Fraction: each step divides by that coefficient.
     """
     if leads is None:
         basis = [g for g in basis if not g.is_zero()]
@@ -105,7 +109,9 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder, leads=None) -> 
     """x^(l - lead f) f / lc(f) - x^(l - lead g) g / lc(g), l the lcm of the leads.
 
     leads, when given, is the pair (lead f, lead g) of leading exponents
-    under order, as the caller already holds them.
+    under order, as the caller already holds them.  Coefficients are as for
+    normal_form: Fractions, or polynomials over Q with unit leading
+    coefficients in f and g.
     """
     lf, lg = leads if leads is not None else (order.leading_exponent(f), order.leading_exponent(g))
     lcm = exp_lcm(lf, lg)

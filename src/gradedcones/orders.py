@@ -11,8 +11,6 @@ Available kinds:
                          with weight 1 on a variable block and 0 elsewhere,
                          so any monomial meeting the block beats any
                          monomial that avoids it
-  product(first, split, rest)  first on the leading split variables, ties by
-                         rest on the others (a block order)
 
 Orders used for Groebner computations must be well-orders (the constant
 monomial is minimal).  A weighted order is one when every weight is
@@ -32,14 +30,12 @@ from .rings import Exponent, Polynomial
 
 
 class TermOrder:
-    __slots__ = ("kind", "weights", "tiebreak", "first", "split")
+    __slots__ = ("kind", "weights", "tiebreak")
 
-    def __init__(self, kind, weights=None, tiebreak=None, first=None, split=None):
+    def __init__(self, kind, weights=None, tiebreak=None):
         self.kind = kind
         self.weights = tuple(int(w) for w in weights) if weights is not None else None
         self.tiebreak = tiebreak
-        self.first = first
-        self.split = split
 
     # -- constructors ----------------------------------------------------------
 
@@ -60,11 +56,6 @@ class TermOrder:
         """Order whose initial segment eliminates the block variables."""
         return cls.weighted([int(i in block) for i in range(nvars)], tiebreak)
 
-    @classmethod
-    def product(cls, first: "TermOrder", split: int, rest: "TermOrder") -> "TermOrder":
-        """first on the exponents before position split, ties by rest on the others."""
-        return cls("product", first=first, split=int(split), tiebreak=rest)
-
     # -- the order itself -------------------------------------------------------
 
     def key(self, e: Exponent):
@@ -78,8 +69,6 @@ class TermOrder:
             if len(w) != len(e):
                 raise ValueError("weight vector length does not match ring")
             return (sum(map(mul, w, e)), self.tiebreak.key(e))
-        if kind == "product":
-            return (self.first.key(e[: self.split]), self.tiebreak.key(e[self.split :]))
         raise ValueError(f"unknown order kind {kind}")
 
     def greater(self, a: Exponent, b: Exponent) -> bool:
@@ -92,8 +81,6 @@ class TermOrder:
             if all(w > 0 for w in self.weights):
                 return True
             return all(w >= 0 for w in self.weights) and self.tiebreak.is_well_order()
-        if self.kind == "product":
-            return self.first.is_well_order() and self.tiebreak.is_well_order()
         return False
 
     def tag(self) -> tuple:
@@ -102,8 +89,6 @@ class TermOrder:
             self.kind,
             self.weights,
             self.tiebreak.tag() if self.tiebreak is not None else None,
-            self.first.tag() if self.first is not None else None,
-            self.split,
         )
 
     def __eq__(self, other) -> bool:

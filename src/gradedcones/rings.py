@@ -6,6 +6,12 @@ equality and the zero polynomial has an empty term dict.  No floating point
 appears anywhere: coefficients are fractions.Fraction and exponents are
 Python ints of arbitrary size.
 
+Coefficients may also be Polynomials over Q of one other ring, which makes
+a polynomial with coefficients in Q[C]: Groebner strata reduce their marked
+generators that way.  Reduction (groebner.normal_form, s_polynomial) only
+divides by leading coefficients, so every divisor's leading coefficient must
+then be a unit, a nonzero Fraction; a marked generator's head is monic.
+
 Rings are lightweight value objects holding the variable names.  Two rings
 with the same names compare equal, which lets results move freely between
 independently constructed rings.
@@ -161,6 +167,8 @@ class Polynomial:
         return None
 
     def __add__(self, other):
+        if type(other) is int and not other:
+            return self
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -185,6 +193,8 @@ class Polynomial:
         return self + (-other)
 
     def __rsub__(self, other):
+        if type(other) is int and not other:
+            return -self
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -192,7 +202,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = other if type(other) is Fraction else Fraction(other)
             if c == 0:
                 return self.ring.zero()
             return Polynomial(self.ring, {e: k * c for e, k in self.terms.items()})
@@ -211,6 +221,11 @@ class Polynomial:
         return Polynomial(self.ring, out)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return self if other == 1 else self * (1 / Fraction(other))
 
     def __pow__(self, n: int):
         if n < 0:

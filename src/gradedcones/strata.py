@@ -5,8 +5,13 @@ Perturb each generator into a marked polynomial x^alpha + sum C x^beta over
 the admissible tails beta, with one fresh coefficient variable C per
 (head, tail) pair.  Requiring the marked set to stay a Groebner basis with
 initial ideal J is a closed condition on the C's: every S-polynomial must
-reduce to zero, and the coefficients of the surviving x-monomials in the
-fully reduced remainders cut out the stratum inside affine C-space.
+reduce to zero.  The markers are polynomials in x with coefficients in Q[C],
+monic in their heads, and they are reduced as such by the library's one
+reduction kernel (groebner.s_polynomial and normal_form) under the order on
+x alone, as in Cioffi and Roggero (J. Symbolic Comput. 46, 2011) and
+Bertone, Lella and Roggero (J. Symbolic Comput. 53, 2013).  The
+Q[C]-coefficients of the fully reduced remainders cut out the stratum inside
+affine C-space.
 
 Grading the C-variables by head minus tail makes every stratum equation
 multigraded, so the whole cone machinery applies; in particular the linear
@@ -209,54 +214,38 @@ class StratumResult:
 def stratum_ideal(scheme: TailScheme) -> StratumResult:
     """Equations on the coefficients keeping the marked basis's initial ideal.
 
-    Every S-polynomial of the marked generators is reduced to a remainder
-    none of whose x-monomials lies in J; the heads are monic so reduction
-    never divides by a coefficient.  The remainder's coefficients, one per
-    surviving x-monomial, generate the stratum ideal.  Each is checked to be
-    homogeneous for the head-minus-tail grading.
+    Each marker is held in the x-ring with coefficients in Q[C]: its head
+    has coefficient 1 and the tail x^beta of coefficient variable k has
+    coefficient C_k.  Every S-polynomial of the markers is reduced by
+    groebner.normal_form under the ideal's own order, with the heads as
+    leading terms.  The heads are monic, so reduction never divides by a
+    coefficient, and whether a term is reducible depends on its x-monomial
+    alone.  The remainder has no x-monomial in J; its Q[C]-coefficients,
+    taken in descending x-order, generate the stratum ideal.  Each is checked
+    to be homogeneous for the head-minus-tail grading.
     """
-    xring = scheme.ideal.ring
     cring = scheme.coefficient_ring
     order = scheme.ideal.order
-    s = xring.nvars
-    combined = PolyRing(xring.names + cring.names)
-
-    def marker(h: int) -> Polynomial:
-        terms = {scheme.heads[h] + (0,) * cring.nvars: Fraction(1)}
-        for k, (hk, beta) in enumerate(scheme.pairs):
-            if hk == h:
-                unit = tuple(int(t == k) for t in range(cring.nvars))
-                terms[beta + unit] = Fraction(1)
-        return Polynomial(combined, terms)
-
-    markers = [marker(h) for h in range(len(scheme.heads))]
-    # under the block order below every marker's leading term is its head
-    marker_leads = [head + (0,) * cring.nvars for head in scheme.heads]
+    heads = scheme.heads
+    markers = [Polynomial(scheme.ideal.ring, {head: Fraction(1)}) for head in heads]
+    for k, (h, beta) in enumerate(scheme.pairs):
+        markers[h].terms[beta] = cring.variable(k)
 
     pair_order = sorted(
-        (
-            (order.key(exp_lcm(scheme.heads[i], scheme.heads[j])), i, j)
-            for i in range(len(scheme.heads))
-            for j in range(i + 1, len(scheme.heads))
-        )
+        (order.key(exp_lcm(heads[i], heads[j])), i, j)
+        for i in range(len(heads))
+        for j in range(i + 1, len(heads))
     )
     clex = TermOrder.lex()
-    reduction_order = TermOrder.product(order, s, clex)
     generators: list[Polynomial] = []
     seen: set = set()
     for _, i, j in pair_order:
-        leads = (marker_leads[i], marker_leads[j])
-        spoly = s_polynomial(markers[i], markers[j], reduction_order, leads)
-        remainder = normal_form(spoly, markers, reduction_order, marker_leads)
-        buckets: dict[Exponent, dict[Exponent, Fraction]] = {}
-        for e, c in remainder.terms.items():
-            buckets.setdefault(e[:s], {})[e[s:]] = c
-        for xmono in sorted(buckets, key=order.key, reverse=True):
-            g = Polynomial(cring, buckets[xmono])
-            g = clex.positive_leading(g.scaled_primitive())
-            key = tuple(sorted(g.terms.items()))
-            if key not in seen:
-                seen.add(key)
+        spoly = s_polynomial(markers[i], markers[j], order, (heads[i], heads[j]))
+        remainder = normal_form(spoly, markers, order, heads).terms
+        for xmono in sorted(remainder, key=order.key, reverse=True):
+            g = clex.positive_leading(remainder[xmono].scaled_primitive())
+            if g not in seen:
+                seen.add(g)
                 generators.append(g)
 
     grading = scheme.coefficient_grading

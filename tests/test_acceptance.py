@@ -315,3 +315,16 @@ def test_criterion_10_curves_to_the_origin():
                 tested_on_surface += 1
                 assert curve.stays_on(SURFACE)
         assert tested_on_surface >= 10
+
+
+def test_criterion_11_one_line_stratum(capsys, tmp_path):
+    # one head of degree 1000 in two variables has 1000 same-degree tails,
+    # each with its own coefficient variable, and no pairs to reduce
+    with criterion(11, "one-line stratum x^1000", 1.0):
+        path = tmp_path / "doc.gc"
+        path.write_text("ring x y ; ideal J = x^1000 ;\n")
+        code = main(["stratum", "--json", "--file", str(path)])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert len(report["result"]["coefficients"]) == 1000
+        assert report["result"]["generators"] == []

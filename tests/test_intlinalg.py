@@ -288,3 +288,32 @@ def test_kernel_and_index_match_sympy_invariant_factors():
         index = lattice_index(rows, sub)
         if index is not None:
             assert Fraction(prod(factors(sub)), prod(factors(rows))) == index
+
+
+def test_hermite_normal_form_matches_sympy():
+    # sympy picks other pivot conventions, so the entries may differ; the
+    # forms must have the same rank and span the same row lattice
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
+
+    def spans(basis, vectors):
+        """Every vector is an integer combination of the independent basis rows."""
+        # [B^T | V^T] in reduced echelon form: V^T = B^T X needs no pivot
+        # right of B's columns, and then X is the top block on the right
+        augmented = sympy.Matrix(basis + vectors).T.to_DM().convert_to(sympy.QQ)
+        echelon, pivots = augmented.rref()
+        r = len(basis)
+        coords = echelon.to_Matrix()[:r, r:]
+        return pivots == tuple(range(r)) and all(c.is_integer for c in coords)
+
+    rng = random.Random(20090129)
+    for _ in range(300):
+        rows = _random_matrix(rng)
+        ours = hermite_normal_form(rows)
+        # sympy's form spans the column lattice, so it is taken of M^T
+        form = sympy_hnf(sympy.Matrix(rows).T).T
+        theirs = [[int(x) for x in form.row(i)] for i in range(form.rows)]
+        assert len(ours) == len(theirs) == sympy.Matrix(rows).rank(), rows
+        if ours:
+            assert spans(ours, theirs) and spans(theirs, ours), rows
+            assert spans(ours, rows), rows

@@ -79,7 +79,6 @@ def test_order_multiplicative_and_total():
         TermOrder.degrevlex(),
         TermOrder.weighted((2, 1, 3), TermOrder.lex()),
         TermOrder.elimination({1}, 3, TermOrder.degrevlex()),
-        TermOrder.product(TermOrder.degrevlex(), 2, TermOrder.lex()),
     ]
     for o in orders:
         for _ in range(60):

@@ -42,6 +42,9 @@ def test_arithmetic(ring):
     assert (x + y) ** 3 == x**3 + 3 * x**2 * y + 3 * x * y**2 + y**3
     assert -(x - y) == y - x
     assert (x + y) * Fraction(1, 2) == parse_polynomial(ring, "1/2 x + 1/2 y")
+    assert (x + y) / 2 == (x + y) / Fraction(2) == (x + y) * Fraction(1, 2)
+    assert (x + y) / 1 == x + y
+    assert 0 + x == x + 0 == x and 0 - x == -x and 1 - x == parse_polynomial(ring, "1 - x")
 
 
 def test_pow_matches_repeated_multiplication(ring):

@@ -2,14 +2,17 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
+
+import pytest
 
 from gradedcones.errors import Rejection
 from gradedcones.grading import PositivityWitness
-from gradedcones.groebner import buchberger
+from gradedcones.groebner import buchberger, normal_form, s_polynomial
 from gradedcones.ideals import IdealPresentation, krull_dimension
 from gradedcones.orders import TermOrder
-from gradedcones.rings import PolyRing, Polynomial
+from gradedcones.rings import PolyRing, Polynomial, exp_lcm
 from gradedcones.strata import (
     MonomialIdealSpec,
     _same_degree_exponents,
@@ -228,3 +231,168 @@ def test_every_coefficient_grading_is_positive():
                 w = scheme.coefficient_grading.positivity()
                 assert isinstance(w, PositivityWitness), (gens, order, mode)
                 checked += 1
+
+
+class _BlockOrder:
+    """The block order x > C of the reference: order on the first split
+    exponents, ties by lex on the rest."""
+
+    def __init__(self, first, split):
+        self.first = first
+        self.split = split
+
+    def key(self, e):
+        return (self.first.key(e[: self.split]), e[self.split :])
+
+
+def _combined_ring_generators(scheme):
+    """Stratum generators by reduction in the combined ring Q[x, C].
+
+    The earlier implementation of stratum_ideal, kept as a reference: every
+    coefficient variable is an exponent position of one big ring, and the
+    S-polynomials are reduced under a block order with the x's first.
+    """
+    xring = scheme.ideal.ring
+    cring = scheme.coefficient_ring
+    order = scheme.ideal.order
+    s = xring.nvars
+    combined = PolyRing(xring.names + cring.names)
+
+    def marker(h):
+        terms = {scheme.heads[h] + (0,) * cring.nvars: Fraction(1)}
+        for k, (hk, beta) in enumerate(scheme.pairs):
+            if hk == h:
+                unit = tuple(int(t == k) for t in range(cring.nvars))
+                terms[beta + unit] = Fraction(1)
+        return Polynomial(combined, terms)
+
+    markers = [marker(h) for h in range(len(scheme.heads))]
+    marker_leads = [head + (0,) * cring.nvars for head in scheme.heads]
+    pair_order = sorted(
+        (order.key(exp_lcm(scheme.heads[i], scheme.heads[j])), i, j)
+        for i in range(len(scheme.heads))
+        for j in range(i + 1, len(scheme.heads))
+    )
+    reduction_order = _BlockOrder(order, s)
+    generators = []
+    seen = set()
+    for _, i, j in pair_order:
+        leads = (marker_leads[i], marker_leads[j])
+        spoly = s_polynomial(markers[i], markers[j], reduction_order, leads)
+        remainder = normal_form(spoly, markers, reduction_order, marker_leads)
+        buckets = {}
+        for e, c in remainder.terms.items():
+            buckets.setdefault(e[:s], {})[e[s:]] = c
+        for xmono in sorted(buckets, key=order.key, reverse=True):
+            g = Polynomial(cring, buckets[xmono])
+            g = LEX.positive_leading(g.scaled_primitive())
+            key = tuple(sorted(g.terms.items()))
+            if key not in seen:
+                seen.add(key)
+                generators.append(g)
+    return generators
+
+
+def test_stratum_equations_match_the_combined_ring_reduction():
+    # reducing over Q[C] must give the same generators, in the same order,
+    # as reducing in Q[x, C] under the block order
+    rng = random.Random(20090127)
+    ideals = nonzero = 0
+    covered = {}
+    while ideals < 300:
+        nvars = rng.choice((2, 3, 3))
+        ring = PolyRing(tuple("xyz"[:nvars]))
+        gens = _random_monomial_ideal(rng, nvars)
+        weights = tuple(rng.randint(1, 4) for _ in range(nvars))
+        if len(gens) < 2:
+            continue
+        # one order per ideal, in turn, keeps the reference inside the budget
+        name, order = (
+            ("lex", LEX),
+            ("degrevlex", DRL),
+            ("weighted", TermOrder.weighted(weights, LEX)),
+        )[ideals % 3]
+        compared = False
+        for mode in ("homogeneous", "full"):
+            try:
+                scheme = tail_scheme(MonomialIdealSpec(ring, gens, order), mode)
+            except Rejection:
+                continue  # infinitely many tails
+            if scheme.coefficient_ring.nvars > 12:
+                continue
+            ours = list(stratum_ideal(scheme).stratum_ideal.generators)
+            assert ours == _combined_ring_generators(scheme), (gens, name, mode)
+            covered[name, mode] = covered.get((name, mode), 0) + 1
+            nonzero += bool(ours)
+            compared = True
+        ideals += compared
+    assert len(covered) == 6 and nonzero > 100, (covered, nonzero)
+
+
+def _sympy_expr(sympy, p, symbols):
+    return sympy.Add(
+        *(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(v**k for v, k in zip(symbols, e)))
+            for e, c in p.terms.items()
+        )
+    )
+
+
+def _sympy_stratum_equations(sympy, scheme, order_name):
+    """x-coefficients of every S-polynomial reduced by sympy over QQ[C]."""
+    xs = sympy.symbols(scheme.ideal.ring.names)
+    cs = sympy.symbols(scheme.coefficient_ring.names)
+
+    def mono(e):
+        return sympy.Mul(*(v**k for v, k in zip(xs, e)))
+
+    markers = [mono(head) for head in scheme.heads]
+    for k, (h, beta) in enumerate(scheme.pairs):
+        markers[h] += cs[k] * mono(beta)
+    domain = sympy.QQ[cs]
+    equations = []
+    for i, j in combinations(range(len(markers)), 2):
+        lcm = exp_lcm(scheme.heads[i], scheme.heads[j])
+        shift_i = tuple(a - b for a, b in zip(lcm, scheme.heads[i]))
+        shift_j = tuple(a - b for a, b in zip(lcm, scheme.heads[j]))
+        spoly = sympy.expand(mono(shift_i) * markers[i] - mono(shift_j) * markers[j])
+        _, remainder = sympy.reduced(spoly, markers, *xs, order=order_name, domain=domain)
+        remainder = sympy.Poly(remainder, *xs, domain=domain)
+        if not remainder.is_zero:
+            equations += [c.as_expr() for c in remainder.coeffs()]
+    return equations, cs
+
+
+def test_stratum_ideal_matches_sympy_reduction():
+    # sympy reduces the markers' S-polynomials with coefficients in QQ[C];
+    # its remainders may differ from ours, but their coefficients must
+    # generate the same ideal, so the reduced bases agree
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20090128)
+    cases = nonzero = 0
+    while cases < 40:
+        nvars = rng.choice((2, 3))
+        ring = PolyRing(tuple("xyz"[:nvars]))
+        gens = _random_monomial_ideal(rng, nvars)
+        if len(gens) < 2:
+            continue
+        name, order = rng.choice((("lex", LEX), ("grevlex", DRL)))
+        mode = rng.choice(("homogeneous", "full"))
+        try:
+            scheme = tail_scheme(MonomialIdealSpec(ring, gens, order), mode)
+        except Rejection:
+            continue  # infinitely many tails
+        if not 0 < scheme.coefficient_ring.nvars <= 8:
+            continue
+        cases += 1
+        theirs, cs = _sympy_stratum_equations(sympy, scheme, name)
+        ours = [_sympy_expr(sympy, g, cs) for g in stratum_ideal(scheme).stratum_ideal.generators]
+        nonzero += bool(ours)
+        if not ours:
+            assert not theirs, (gens, name)
+            continue
+        assert theirs, (gens, name)
+        basis_ours = sympy.groebner(ours, *cs, order="grevlex").exprs
+        assert sympy.groebner(theirs, *cs, order="grevlex").exprs == basis_ours, (gens, name)
+    assert nonzero > 10
