@@ -34,7 +34,7 @@ from .ideals import (
     saturate,
 )
 from .orders import TermOrder
-from .rings import PolyRing, Polynomial
+from .rings import ZERO, PolyRing, Polynomial
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ def torus_restriction(g: Polynomial, p: RationalPoint, degree) -> dict:
         if value == 0:
             continue
         d = degree(e)
-        s = out.get(d, Fraction(0)) + value
+        s = out.get(d, ZERO) + value
         if s:
             out[d] = s
         else:

@@ -10,8 +10,21 @@ positivity of a grading, whose columns are the variables' degree vectors.
 Two engines implement the same contract and cross-check each other in the
 tests: Fourier-Motzkin elimination for few variables, and a phase-one
 simplex with Bland's rule for the rest.  Fourier-Motzkin eliminates in
-integers and divides, over Fraction, only in back-substitution; the
-simplex tableau is over Fraction.
+integers, with sparse multipliers, and divides, over Fraction, only in
+back-substitution.
+
+The simplex tableau is integral and fraction-free (Edmonds 1967, Bareiss
+1968): it is the rational tableau times d, the absolute value of the current
+basis determinant, so every entry is an integer minor of the starting
+tableau and each pivot divides exactly by the previous d, with no gcd taken.
+Only the x+ and slack columns and the right-hand side are stored; the x-
+columns are -x+ and the artificial columns -slack in every row, and in the
+objective row the reduced cost of x- is minus that of x+ and that of
+artificial k is d minus that of slack k.  Scaling by d > 0 keeps every sign,
+and ratios are compared by cross-multiplication, so Bland's rule sees the
+same comparisons, over all four kinds of column in the same order, and
+takes the same bases as a Fraction tableau would; the point and the Farkas
+multipliers are read off as Fractions over d, with the same values.
 """
 
 from __future__ import annotations
@@ -39,8 +52,9 @@ def feasible_or_farkas(columns, nvars: int):
 def fourier_motzkin(columns, nvars: int):
     """feasible_or_farkas by eliminating the variables one at a time."""
     n = len(columns)
-    # each constraint: (coeffs, rhs, multipliers over the original system)
-    system = [(tuple(c), 1, (0,) * i + (1,) + (0,) * (n - i - 1)) for i, c in enumerate(columns)]
+    # each constraint: (coeffs, rhs, multipliers over the original system),
+    # the multipliers sparse as {column index: positive int}
+    system = [(tuple(c), 1, {i: 1}) for i, c in enumerate(columns)]
     stack = []  # systems before eliminating variable j, for back-substitution
     for j in range(nvars - 1, -1, -1):
         stack.append((j, system))
@@ -53,12 +67,14 @@ def fourier_motzkin(columns, nvars: int):
                 cp, cn = a_p[j], -a_n[j]
                 coeffs = tuple(cn * x + cp * y for x, y in zip(a_p, a_n))
                 b = cn * b_p + cp * b_n
-                mult = tuple(cn * x + cp * y for x, y in zip(m_p, m_n))
+                mult = {k: cn * v for k, v in m_p.items()}
+                for k, v in m_n.items():
+                    mult[k] = mult.get(k, 0) + cp * v
                 new.append((coeffs, b, mult))
         system = new
     for coeffs, b, mult in system:
         if b > 0:
-            return ("farkas", mult)
+            return ("farkas", tuple(mult.get(i, 0) for i in range(n)))
     # feasible; back-substitute, preferring the tightest lower bound
     point: list[Fraction] = [Fraction(0)] * nvars
     for j, sys_j in reversed(stack):
@@ -92,63 +108,63 @@ def phase_one_simplex(columns, nvars: int):
     n = len(columns)
     if n == 0:
         return ("point", tuple(Fraction(0) for _ in range(nvars)))
-    # columns: x+ (nvars), x- (nvars), slack s (n), artificial a (n);
-    # dense tableau: T[i] = row of coefficients + rhs; basis starts artificial
-    ncols = 2 * nvars + 2 * n
-    tableau = [
-        [Fraction(v) for v in c]
-        + [Fraction(-v) for v in c]
-        + [Fraction(-(k == i)) for k in range(n)]
-        + [Fraction(k == i) for k in range(n)]
-        + [Fraction(1)]
-        for i, c in enumerate(columns)
-    ]
+    # integer rows [x+ | s | rhs], the rational tableau times d; basis starts artificial
+    tableau = [list(c) + [-(k == i) for k in range(n)] + [1] for i, c in enumerate(columns)]
     basis = [2 * nvars + n + i for i in range(n)]
-    # objective row for min sum(a): reduced costs c_j - z_j with z from basis
-    obj = [Fraction(0)] * (ncols + 1)
-    for j in range(ncols):
-        s = sum(tableau[i][j] for i in range(n))
-        obj[j] = (Fraction(1) if j >= 2 * nvars + n else Fraction(0)) - s
-    obj[ncols] = Fraction(-n)
+    d = 1
+    # objective row for min sum(a), also times d: reduced costs of x+ and s,
+    # then minus the objective value
+    obj = [-sum(c[j] for c in columns) for j in range(nvars)] + [1] * n + [-n]
+    # every original column as (stored column, sign, cost): x+, x- = -x+, s, a = -s
+    original = (
+        [(j, 1, 0) for j in range(nvars)]
+        + [(j, -1, 0) for j in range(nvars)]
+        + [(nvars + k, 1, 0) for k in range(n)]
+        + [(nvars + k, -1, 1) for k in range(n)]
+    )
 
     while True:
-        enter = next((j for j in range(ncols) if obj[j] < 0), None)
+        # reduced cost of an original column, times d: cost * d + sign * obj[stored]
+        enter = next((j for j, (s, g, c) in enumerate(original) if c * d + g * obj[s] < 0), None)
         if enter is None:
             break
+        s, g, c = original[enter]
         pivot_i = None
-        best = None
         for i in range(n):
-            if tableau[i][enter] > 0:
-                ratio = tableau[i][ncols] / tableau[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[pivot_i]):
-                    best = ratio
-                    pivot_i = i
+            a = g * tableau[i][s]
+            if a > 0:
+                if pivot_i is None:
+                    pivot_i, best_a, best_b = i, a, tableau[i][-1]
+                    continue
+                # rhs_i / a < best_b / best_a, both denominators positive
+                lhs, rhs = tableau[i][-1] * best_a, best_b * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[pivot_i]):
+                    pivot_i, best_a, best_b = i, a, tableau[i][-1]
         if pivot_i is None:
             # phase-one objective is bounded below by zero, so this cannot happen
             raise ArithmeticError("unbounded phase-one simplex")
-        piv = tableau[pivot_i][enter]
-        tableau[pivot_i] = [v / piv for v in tableau[pivot_i]]
-        for i in range(n):
-            if i != pivot_i and tableau[i][enter] != 0:
-                f = tableau[i][enter]
-                tableau[i] = [v - f * w for v, w in zip(tableau[i], tableau[pivot_i])]
-        if obj[enter] != 0:
-            f = obj[enter]
-            for j in range(ncols + 1):
-                obj[j] -= f * tableau[pivot_i][j]
+        # Edmonds-Bareiss step: the pivot row stays, every other row is a 2x2
+        # minor divided exactly by the old d, and the pivot becomes the new d
+        p, prow = best_a, tableau[pivot_i]
+        for i, row in enumerate(tableau):
+            if i != pivot_i:
+                f = g * row[s]
+                tableau[i] = [(p * v - f * w) // d for v, w in zip(row, prow)]
+        f = c * d + g * obj[s]
+        obj = [(p * v - f * w) // d for v, w in zip(obj, prow)]
+        d = p
         basis[pivot_i] = enter
 
-    optimum = -obj[ncols]
-    if optimum == 0:
+    if obj[-1] == 0:
         xs = [Fraction(0)] * nvars
         for i, b in enumerate(basis):
             if b < nvars:
-                xs[b] += tableau[i][ncols]
+                xs[b] += Fraction(tableau[i][-1], d)
             elif b < 2 * nvars:
-                xs[b - nvars] -= tableau[i][ncols]
+                xs[b - nvars] -= Fraction(tableau[i][-1], d)
         return ("point", tuple(xs))
-    # duals: y_i = c_B B^-1 e_i = 1 - reduced cost of artificial column i
-    mult = tuple(Fraction(1) - obj[2 * nvars + n + i] for i in range(n))
+    # duals: y_i = 1 - reduced cost of artificial i = reduced cost of slack i
+    mult = tuple(Fraction(obj[nvars + k], d) for k in range(n))
     if any(m < 0 for m in mult) or all(m == 0 for m in mult):
         raise ArithmeticError("simplex produced an invalid certificate")
     return ("farkas", mult)

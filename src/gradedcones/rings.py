@@ -25,6 +25,8 @@ from typing import Iterable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
 
+ZERO = Fraction(0)  # the one dict.get default for coefficient sums; Fractions are immutable
+
 _IDENT_OK = str.isidentifier
 
 
@@ -174,7 +176,7 @@ class Polynomial:
             return NotImplemented
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
+            s = out.get(e, ZERO) + c
             if s:
                 out[e] = s
             else:
@@ -213,7 +215,7 @@ class Polynomial:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = exp_add(e1, e2)
-                s = out.get(e, Fraction(0)) + c1 * c2
+                s = out.get(e, ZERO) + c1 * c2
                 if s:
                     out[e] = s
                 else:
@@ -294,7 +296,7 @@ class Polynomial:
                 ne = list(e)
                 ne[i] = k - 1
                 ne = tuple(ne)
-                s = out.get(ne, Fraction(0)) + c * k
+                s = out.get(ne, ZERO) + c * k
                 if s:
                     out[ne] = s
                 else:

@@ -4,6 +4,7 @@ Run with `pytest -v -s tests/test_acceptance.py` to see the per-criterion
 lines; each test also enforces its own wall-clock budget.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -328,3 +329,20 @@ def test_criterion_11_one_line_stratum(capsys, tmp_path):
         assert code == 0
         assert len(report["result"]["coefficients"]) == 1000
         assert report["result"]["generators"] == []
+
+
+def test_criterion_12_full_stratum_with_78_coefficients(capsys, tmp_path):
+    # the full tail scheme gives 78 coefficient variables graded in Z^4, so
+    # the positivity LP runs the simplex on a 78-row tableau; the report's
+    # digest was recorded with the Fraction tableau the integer one replaced
+    with criterion(12, "full stratum, 78 coefficients", 1.0):
+        path = tmp_path / "doc.gc"
+        path.write_text("ring x y z w ; ideal J = w^2, y^2 z^3 ;\n")
+        code = main(["stratum", "--mode", "full", "--json", "--file", str(path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert len(json.loads(out)["result"]["coefficients"]) == 78
+        assert (
+            hashlib.sha256(out.encode()).hexdigest()
+            == "700de8e801b5820033ffc965a9c254bf5d6e6e403a894831bd0ce5ac53ac06cf"
+        )

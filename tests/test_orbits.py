@@ -6,6 +6,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+import pytest
+
 from gradedcones import intlinalg
 from gradedcones.cones import homogeneous_ideal, singular_locus
 from gradedcones.errors import (
@@ -30,7 +32,7 @@ from gradedcones.orbits import (
     torus_restriction,
 )
 from gradedcones.orbits import _nonzero_rational_roots
-from gradedcones.rings import PolyRing
+from gradedcones.rings import PolyRing, Polynomial
 
 from helpers import random_rational, torus_scaled
 
@@ -280,6 +282,38 @@ def test_rational_roots_agree_with_trial_division():
         cases += len(p.terms) > 1
         with_roots += bool(roots)
     assert cases >= 300 and with_roots >= 150
+
+
+def test_rational_roots_match_sympy_ground_roots():
+    # x^k times rational linear factors with wider coefficients than the
+    # trial-division test, times a random integer polynomial (mostly without
+    # rational roots) and a rational scalar; sympy finds the roots by factoring
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    rng = random.Random(20090126)
+    ring = PolyRing(("x", "y"))
+    with_roots = 0
+    for _ in range(300):
+        q = sympy.Poly(t ** rng.choice((0, 0, 1, 3)), t)
+        for _ in range(rng.randint(0, 4)):
+            linear = sympy.Poly(rng.randint(1, 15) * t - rng.randint(-40, 40), t)
+            q *= linear ** rng.choice((1, 1, 2))
+        lead = rng.choice((1, 1, rng.randint(2, 30)))
+        q *= sympy.Poly([lead] + [rng.randint(-30, 30) for _ in range(rng.randint(0, 4))], t)
+        scale = random_rational(rng, nonzero=True)
+        var = rng.randrange(2)
+        terms = {
+            (k, 0) if var == 0 else (0, k): int(c) * scale
+            for k, c in enumerate(reversed(q.all_coeffs()))
+            if c
+        }
+        expected = sorted(
+            (Fraction(int(r.p), int(r.q)) for r in q.ground_roots() if r),
+            key=lambda r: (abs(r), r < 0),
+        )
+        assert _nonzero_rational_roots(Polynomial(ring, terms), var) == expected, q
+        with_roots += bool(expected)
+    assert with_roots >= 150
 
 
 def test_free_value_candidates_are_sane():

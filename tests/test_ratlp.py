@@ -280,3 +280,60 @@ def test_engines_reproduce_the_general_engines_exactly():
         assert got == reference_positivity(cols, m, reference)
         assert all(type(v) is int for v in getattr(got, "omega", ()) + getattr(got, "alpha", ()))
     assert verdicts["point"] > 60 and verdicts["farkas"] > 60
+
+
+# m from 4 to 6 and n = 9: systems on which breaking equal ratios by the
+# first row instead of the least basis index changes the answer
+SIMPLEX_TIE_CASES = (
+    ([(0, 0, 2, 0, 1, 1)] * 3 + [(0, 0, 0, 2, 0, 2), (2, 0, 2, 1, 1, 0), (1, 2, 0, 0, 2, 0)]
+     + [(0, 0, 2, 0, 1, 1)] * 3, 6),
+    ([(1, 1, 0, 0), (1, 0, 1, 2), (2, 2, 0, 1), (0, 0, 1, 0), (0, 0, 1, 0), (0, 0, 1, 0),
+      (1, 1, 0, 1), (0, 2, 2, 2), (1, 0, 0, 0)], 4),
+    ([(2, 1, 2, -1), (0, 0, -1, 0), (0, 0, 1, 0), (1, -1, 0, 2), (-1, 0, 1, 2), (0, -1, 0, 0),
+      (0, 1, -1, -1), (0, -1, 0, 2), (0, -1, 0, 0)], 4),
+    ([(0, 2, 1, -1, 1), (0, 2, 0, 0, -1), (0, 2, 0, 0, -1), (2, 0, 0, 2, 0), (0, 1, 0, 1, 0),
+      (1, 0, 0, 0, 0), (2, 2, 2, 0, 0), (0, -1, 0, 0, 0), (0, 1, 0, 0, 2)], 5),
+)
+
+
+def _simplex_sets(seed, count):
+    """Column sets only the simplex sees: m from 4 to 6, n from 9 to 24.
+
+    Odd sets mix signs and add zero and opposite columns, so most are
+    infeasible; even sets lie in the positive orthant, so most are feasible.
+    Repeated columns give the equal ratios Bland's rule breaks by the least
+    basis index.  One pair of sets in four draws n up to 24; the rest keep n
+    to 12, since the Fraction reference takes about 20 ms a system at n = 9
+    and ten times that at n = 24.
+    """
+    rng = random.Random(seed)
+    for k in range(count):
+        m = 4 + k % 3
+        n = rng.randint(9, 24) if (k // 2) % 4 == 0 else rng.randint(9, 12)
+        mixed = k % 2
+        cols = []
+        while len(cols) < n:
+            roll = rng.random()
+            if cols and roll < 0.25:
+                cols.append(rng.choice(cols))  # repeated
+            elif mixed and cols and roll < 0.3:
+                cols.append(tuple(-x for x in rng.choice(cols)))  # opposite
+            elif mixed and roll < 0.33:
+                cols.append((0,) * m)  # zero
+            else:
+                c = tuple(rng.randint(-mixed, 2) if rng.random() < 0.5 else 0 for _ in range(m))
+                if mixed or any(c):
+                    cols.append(c)
+        yield cols, m
+
+
+def test_integer_simplex_reproduces_the_fraction_tableau():
+    verdicts = {"point": 0, "farkas": 0}
+    for cols, m in SIMPLEX_TIE_CASES + tuple(_simplex_sets(20090125, 300)):
+        rows = [tuple(Fraction(x) for x in c) for c in cols]
+        got = phase_one_simplex(cols, m)
+        _exact(got, reference_phase_one_simplex(rows, [Fraction(1)] * len(cols), m))
+        assert all(type(v) is Fraction for v in got[1])
+        check_answer(cols, m, got)
+        verdicts[got[0]] += 1
+    assert verdicts["point"] > 100 and verdicts["farkas"] > 100
