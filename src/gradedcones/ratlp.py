@@ -10,8 +10,10 @@ positivity of a grading, whose columns are the variables' degree vectors.
 Two engines implement the same contract and cross-check each other in the
 tests: Fourier-Motzkin elimination for few variables, and a phase-one
 simplex with Bland's rule for the rest.  Fourier-Motzkin eliminates in
-integers, with sparse multipliers, and divides, over Fraction, only in
-back-substitution.
+integers, with sparse multipliers, and back-substitutes in integers too:
+the point is integer numerators over one common denominator, bounds are
+compared by cross-multiplication, and Fractions are built only for the
+point returned.
 
 The simplex tableau is integral and fraction-free (Edmonds 1967, Bareiss
 1968): it is the rational tableau times d, the absolute value of the current
@@ -29,7 +31,9 @@ multipliers are read off as Fractions over d, with the same values.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from math import gcd
 
 FM_VARIABLE_LIMIT = 3  # Fourier-Motzkin below, simplex above
 
@@ -75,23 +79,30 @@ def fourier_motzkin(columns, nvars: int):
     for coeffs, b, mult in system:
         if b > 0:
             return ("farkas", tuple(mult.get(i, 0) for i in range(n)))
-    # feasible; back-substitute, preferring the tightest lower bound
-    point: list[Fraction] = [Fraction(0)] * nvars
+    # feasible; back-substitute, preferring the tightest lower bound and else
+    # the least upper bound if it is negative.  The point is nums / den with
+    # den > 0, so a constraint bounds x_j by rest / (c * den) with
+    # rest = b * den - coeffs . nums (nums[j] is still 0), and a bound is held
+    # as (p, q) = (+-rest, |c|), compared by cross-multiplication.
+    nums, den = [0] * nvars, 1
     for j, sys_j in reversed(stack):
-        lowers, uppers = [], []
+        lower = upper = None
         for coeffs, b, _ in sys_j:
-            rest = b - sum(coeffs[k] * point[k] for k in range(nvars) if k != j)
-            if coeffs[j] > 0:
-                lowers.append(Fraction(rest, coeffs[j]))
-            elif coeffs[j] < 0:
-                uppers.append(Fraction(rest, coeffs[j]))
-        if lowers:
-            point[j] = max(lowers)
-        elif uppers:
-            point[j] = min(min(uppers), Fraction(0))
-        else:
-            point[j] = Fraction(0)
-    return ("point", tuple(point))
+            c = coeffs[j]
+            if c:
+                rest = b * den - sum(map(operator.mul, coeffs, nums))
+                if c > 0 and (lower is None or rest * lower[1] > lower[0] * c):
+                    lower = (rest, c)
+                elif c < 0 and (upper is None or -rest * upper[1] < upper[0] * -c):
+                    upper = (-rest, -c)
+        bound = lower or (upper if upper and upper[0] < 0 else None)
+        if bound:
+            p, q = bound
+            nums = [x * q for x in nums]
+            nums[j], den = p, den * q
+            g = gcd(den, *nums)
+            nums, den = [x // g for x in nums], den // g
+    return ("point", tuple(Fraction(x, den) for x in nums))
 
 
 # -- phase-one simplex ------------------------------------------------------------

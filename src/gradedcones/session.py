@@ -14,8 +14,15 @@ a signed sum of terms; a term multiplies rationals p or p/q and powers x^k,
 with * or side by side (`2 y1`, `2y1` and `2*y1` agree).  The grammar has no
 parentheses, so each term is one coefficient times one monomial and the
 reader fills the term dictionary directly.  Digits are the decimal digits
-of any script and a name starts with a letter or _.  Every error carries a
-1-based line and column.
+of any script and a name starts with a letter or _.
+
+The reader scans the text once into parallel lists of token kinds, texts
+and start offsets and parses by index into them.  Every error carries a
+1-based line and column, computed from its offset only when it is raised.
+A punctuation text is one character no other token can spell (an INT is
+digits, an IDENT starts with a letter or _, EOF is empty), so comparing
+texts alone finds punctuation.  A rational, and the coefficient of a term,
+costs one Fraction, built from its integer numerator and denominator.
 
 Rendering is the exact inverse: rationals print as p/q, terms are sorted by
 the active term order, descending.  parse(format(x)) == x.
@@ -24,6 +31,7 @@ the active term order, descending.  parse(format(x)) == x.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -43,65 +51,78 @@ class Token(NamedTuple):
     column: int
 
 
-# Each match is optional blanks and then one alternative.  \d is
-# str.isdecimal and \w is str.isalnum or _, but a name must start with a
-# letter or _, which tokenize checks.  The last match is always EOF, and a
-# comment that ends the document is part of it, so EOF sits at its #.
+# Each match is the blanks, line ends and whole comment lines it skips, then
+# PUNCT, INT, IDENT or BAD; all four are empty at EOF, which sits at the # of
+# a comment that ends the document.  \d is str.isdecimal and \w is
+# str.isalnum or _, but a name must start with a letter or _.
 _TOKEN = re.compile(
-    r"[ \t\r]*(?:(?P<INT>\d+)|(?P<IDENT>\w+)|(?P<PUNCT>[-+*^/()\[\],;=])"
-    r"|(?P<EOF>(?:\#.*)?\Z)|(?P<NEWLINE>(?:\#.*)?\n)|(?P<BAD>.))"
+    r"([ \t\r\n]*(?:\#.*\n[ \t\r\n]*)*)"
+    r"(?:([-+*^/()\[\],;=])|(\d+)|(\w+)|(?:\#.*)?\Z|(.))"
 )
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        start = m.start(kind)
-        if kind == "NEWLINE":
-            line += 1
-            line_start = m.end()
-            continue
-        column = start - line_start + 1
-        if kind == "BAD" or (kind == "IDENT" and not (text[start].isalpha() or text[start] == "_")):
-            raise ParseFailure(f"unexpected character {text[start]!r}", line, column)
-        if kind == "EOF":
-            tokens.append(Token(kind, "", line, column))
-            return tokens
-        tokens.append(Token(kind, m[kind], line, column))
-
-
 class _Cursor:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
+    """One scan of a text, as parallel lists of token kinds, texts and start
+    offsets ending with EOF, and the index of the next token."""
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    __slots__ = ("text", "kinds", "texts", "starts", "pos")
 
-    def next(self) -> Token:
-        t = self.tokens[self.pos]
-        self.pos += 1
-        return t
+    def __init__(self, text: str):
+        self.text, self.pos = text, 0
+        self.kinds, self.texts, self.starts = kinds, texts, starts = [], [], []
+        end = 0
+        for skipped, punct, integer, name, bad in _TOKEN.findall(text):
+            start = end + len(skipped)
+            if punct:
+                kind, token = "PUNCT", punct
+            elif integer:
+                kind, token = "INT", integer
+            elif name and (name[0].isalpha() or name[0] == "_"):
+                kind, token = "IDENT", name
+            elif name or bad:
+                raise self.fail(f"unexpected character {text[start]!r}", offset=start)
+            else:
+                kind, token = "EOF", ""
+            kinds.append(kind)
+            texts.append(token)
+            starts.append(start)
+            if not token:
+                return
+            end = start + len(token)
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        t = self.peek()
-        if t.kind != kind or (text is not None and t.text != text):
-            want = text if text is not None else kind
-            raise ParseFailure(f"expected {want!r}, found {t.text or t.kind!r}", t.line, t.column)
-        return self.next()
+    def fail(self, reason: str, at: int | None = None, offset: int | None = None) -> ParseFailure:
+        """A ParseFailure at token `at` (by default the next one) or at a
+        character offset; only here are line and column computed."""
+        if offset is None:
+            offset = self.starts[self.pos if at is None else at]
+        line = self.text.count("\n", 0, offset) + 1
+        return ParseFailure(reason, line, offset - self.text.rfind("\n", 0, offset))
 
-    def at_punct(self, text: str) -> bool:
-        t = self.peek()
-        return t.kind == "PUNCT" and t.text == text
+    def expect(self, want: str) -> int:
+        """Step over the punctuation or the token kind `want`; return its index."""
+        i = self.pos
+        if (self.texts[i] if len(want) == 1 else self.kinds[i]) != want:
+            raise self.fail(f"expected {want!r}, found {self.texts[i] or 'EOF'!r}")
+        self.pos = i + 1
+        return i
+
+
+def tokenize(text: str) -> list[Token]:
+    """The scan as Token tuples, each with its line and column."""
+    cur = _Cursor(text)
+    line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
+    tokens = []
+    for kind, token, start in zip(cur.kinds, cur.texts, cur.starts):
+        line = bisect_right(line_starts, start)
+        tokens.append(Token(kind, token, line, start - line_starts[line - 1] + 1))
+    return tokens
 
 
 def _parse_list(cur: _Cursor, item, *args) -> list:
     """item (',' item)*"""
     out = [item(cur, *args)]
-    while cur.at_punct(","):
-        cur.next()
+    while cur.texts[cur.pos] == ",":
+        cur.pos += 1
         out.append(item(cur, *args))
     return out
 
@@ -109,82 +130,87 @@ def _parse_list(cur: _Cursor, item, *args) -> list:
 # -- polynomials ---------------------------------------------------------------
 
 
-def _parse_unsigned_int(cur: _Cursor) -> int:
-    return int(cur.expect("INT").text)
+def _parse_signs(cur: _Cursor, signs=("+", "-")) -> int:
+    """The product of a run of the given signs, possibly empty."""
+    start = cur.pos
+    while cur.texts[cur.pos] in signs:
+        cur.pos += 1
+    return -1 if cur.texts[start : cur.pos].count("-") % 2 else 1
 
 
-def _parse_signs(cur: _Cursor) -> int:
-    """The product of a run of + and - signs, possibly empty."""
-    sign = 1
-    while cur.at_punct("-") or cur.at_punct("+"):
-        if cur.next().text == "-":
-            sign = -sign
-    return sign
+def _parse_int(cur: _Cursor, signs=("-",)) -> int:
+    """An integer after a run of the given signs, possibly empty."""
+    sign = _parse_signs(cur, signs) if cur.texts[cur.pos] in signs else 1
+    return sign * int(cur.texts[cur.expect("INT")])
 
 
-def _parse_fraction(cur: _Cursor) -> Fraction:
-    num = _parse_unsigned_int(cur)
-    if not cur.at_punct("/"):
-        return Fraction(num)
-    cur.next()
-    t = cur.peek()
-    den = _parse_unsigned_int(cur)
+def _parse_fraction(cur: _Cursor, signs=()) -> tuple[int, int]:
+    """p or p/q after a run of the given signs, as the integers (+-p, q)."""
+    num = _parse_int(cur, signs)
+    if cur.texts[cur.pos] != "/":
+        return num, 1
+    at = cur.pos = cur.pos + 1
+    den = _parse_int(cur, ())
     if den == 0:
-        raise ParseFailure("zero denominator", t.line, t.column)
-    return Fraction(num, den)
+        raise cur.fail("zero denominator", at)
+    return num, den
 
 
 def _parse_rational(cur: _Cursor) -> Fraction:
-    return _parse_signs(cur) * _parse_fraction(cur)
+    num, den = _parse_fraction(cur, ("+", "-"))
+    return Fraction(num) if den == 1 else Fraction(num, den)
 
 
-def _parse_term(cur: _Cursor, ring: PolyRing) -> tuple[Fraction, tuple[int, ...]]:
-    """Factors joined by * or juxtaposed, as (coefficient, exponent)."""
-    coeff = Fraction(1)
+def _parse_term(cur: _Cursor, ring: PolyRing, sign: int) -> tuple[Fraction, tuple[int, ...]]:
+    """Factors joined by * or juxtaposed, as (sign * coefficient, exponent)."""
+    kinds, texts = cur.kinds, cur.texts
+    num, den = sign, 1
     exponent = [0] * ring.nvars
     while True:
-        t = cur.peek()
-        if t.kind == "INT":
-            coeff *= _parse_fraction(cur)
-        elif t.kind == "IDENT":
-            cur.next()
-            idx = ring.index.get(t.text)
+        i = cur.pos
+        if kinds[i] == "INT":
+            p, q = _parse_fraction(cur)
+            num, den = num * p, den * q
+        elif kinds[i] == "IDENT":
+            idx = ring.index.get(texts[i])
             if idx is None:
-                raise ParseFailure(f"unknown variable {t.text!r}", t.line, t.column)
-            if cur.at_punct("^"):
-                cur.next()
-                exponent[idx] += _parse_unsigned_int(cur)
+                raise cur.fail(f"unknown variable {texts[i]!r}")
+            if texts[i + 1] == "^":
+                cur.pos = i + 2
+                exponent[idx] += _parse_int(cur, ())
             else:
+                cur.pos = i + 1
                 exponent[idx] += 1
         else:
-            raise ParseFailure(f"expected a term, found {t.text or t.kind!r}", t.line, t.column)
-        if cur.at_punct("*"):
-            cur.next()
-        elif cur.peek().kind not in ("IDENT", "INT"):
-            return coeff, tuple(exponent)
+            raise cur.fail(f"expected a term, found {texts[i] or 'EOF'!r}")
+        i = cur.pos
+        if texts[i] == "*":
+            cur.pos = i + 1
+        elif kinds[i] != "IDENT" and kinds[i] != "INT":
+            return Fraction(num, den), tuple(exponent)
 
 
 def _parse_poly(cur: _Cursor, ring: PolyRing) -> Polynomial:
     terms: dict[tuple[int, ...], Fraction] = {}
     sign = _parse_signs(cur)
     while True:
-        coeff, e = _parse_term(cur, ring)
-        s = terms.get(e, 0) + sign * coeff
+        coeff, e = _parse_term(cur, ring, sign)
+        s = terms[e] + coeff if e in terms else coeff
         if s:
             terms[e] = s
         else:
             terms.pop(e, None)
-        if not (cur.at_punct("+") or cur.at_punct("-")):
+        if cur.texts[cur.pos] not in ("+", "-"):
             return Polynomial(ring, terms)
-        sign = 1 if cur.next().text == "+" else -1
+        sign = 1 if cur.texts[cur.pos] == "+" else -1
+        cur.pos += 1
 
 
 def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
-    cur = _Cursor(tokenize(text))
+    cur = _Cursor(text)
     p = _parse_poly(cur, ring)
-    t = cur.peek()
-    if t.kind != "EOF":
-        raise ParseFailure(f"trailing input {t.text!r}", t.line, t.column)
+    if cur.kinds[cur.pos] != "EOF":
+        raise cur.fail(f"trailing input {cur.texts[cur.pos]!r}")
     return p
 
 
@@ -249,100 +275,84 @@ class SessionInput:
         return None
 
 
-def _parse_int(cur: _Cursor) -> int:
-    sign = 1
-    while cur.at_punct("-"):
-        cur.next()
-        sign = -sign
-    return sign * _parse_unsigned_int(cur)
-
-
 def _parse_int_vector(cur: _Cursor) -> tuple[int, ...]:
-    cur.expect("PUNCT", "[")
+    cur.expect("[")
     out = tuple(_parse_list(cur, _parse_int))
-    cur.expect("PUNCT", "]")
+    cur.expect("]")
     return out
 
 
-def _declared_name(cur: _Cursor, session: SessionInput, what: str) -> Token:
-    t = cur.expect("IDENT")
-    if t.text in RESERVED:
-        raise ParseFailure(f"{t.text!r} is a reserved word", t.line, t.column)
-    if t.text in session.ideals or t.text in session.points:
-        raise ParseFailure(f"{what} name {t.text!r} already declared", t.line, t.column)
-    return t
-
-
-def _require_ring(session: SessionInput, t: Token) -> PolyRing:
-    if session.ring is None:
-        raise ParseFailure("ring must be declared first", t.line, t.column)
-    return session.ring
+def _declared_name(cur: _Cursor, session: SessionInput, what: str) -> str:
+    at = cur.expect("IDENT")
+    name = cur.texts[at]
+    if name in RESERVED:
+        raise cur.fail(f"{name!r} is a reserved word", at)
+    if name in session.ideals or name in session.points:
+        raise cur.fail(f"{what} name {name!r} already declared", at)
+    return name
 
 
 def parse_session(text: str) -> SessionInput:
-    cur = _Cursor(tokenize(text))
+    cur = _Cursor(text)
+    kinds, texts = cur.kinds, cur.texts
     session = SessionInput()
-    while cur.peek().kind != "EOF":
-        t = cur.expect("IDENT")
-        if t.text == "ring":
-            if session.ring is not None:
-                raise ParseFailure("ring already declared", t.line, t.column)
-            names = []
-            while cur.peek().kind == "IDENT":
-                name = cur.next()
-                if name.text in RESERVED:
-                    raise ParseFailure(f"{name.text!r} is a reserved word", name.line, name.column)
-                if name.text in names:
-                    raise ParseFailure(f"duplicate variable {name.text!r}", name.line, name.column)
-                names.append(name.text)
-                if cur.at_punct(","):
-                    cur.next()
+    while kinds[cur.pos] != "EOF":
+        at = cur.expect("IDENT")
+        keyword, ring = texts[at], session.ring
+        if ring is None and keyword in ("grading", "ideal", "point"):
+            raise cur.fail("ring must be declared first", at)
+        if keyword == "ring":
+            if ring is not None:
+                raise cur.fail("ring already declared", at)
+            names: dict[str, None] = {}  # an ordered set: a duplicate is found in O(1)
+            while kinds[cur.pos] == "IDENT":
+                i = cur.pos
+                name = texts[i]
+                if name in RESERVED:
+                    raise cur.fail(f"{name!r} is a reserved word", i)
+                if name in names:
+                    raise cur.fail(f"duplicate variable {name!r}", i)
+                names[name] = None
+                cur.pos = i + 2 if texts[i + 1] == "," else i + 1
             if not names:
-                bad = cur.peek()
-                raise ParseFailure("ring needs at least one variable", bad.line, bad.column)
-            cur.expect("PUNCT", ";")
+                raise cur.fail("ring needs at least one variable")
+            cur.expect(";")
             session.ring = PolyRing(names)
-        elif t.text == "grading":
-            ring = _require_ring(session, t)
+        elif keyword == "grading":
             if session.grading is not None:
-                raise ParseFailure("grading already declared", t.line, t.column)
-            open_tok = cur.expect("PUNCT", "[")
+                raise cur.fail("grading already declared", at)
+            opening = cur.expect("[")
             columns = _parse_list(cur, _parse_int_vector)
-            cur.expect("PUNCT", "]")
-            cur.expect("PUNCT", ";")
+            cur.expect("]")
+            cur.expect(";")
             if len(columns) != ring.nvars:
-                raise ParseFailure(
+                raise cur.fail(
                     f"grading lists {len(columns)} degree vectors for {ring.nvars} variables",
-                    open_tok.line,
-                    open_tok.column,
+                    opening,
                 )
             if len({len(c) for c in columns}) != 1:
-                raise ParseFailure("degree vectors have mixed lengths", open_tok.line, open_tok.column)
+                raise cur.fail("degree vectors have mixed lengths", opening)
             session.grading = GradingMap(ring, columns)
-        elif t.text == "ideal":
-            ring = _require_ring(session, t)
+        elif keyword == "ideal":
             name = _declared_name(cur, session, "ideal")
-            cur.expect("PUNCT", "=")
-            gens = [] if cur.at_punct(";") else _parse_list(cur, _parse_poly, ring)
-            cur.expect("PUNCT", ";")
-            session.ideals[name.text] = tuple(gens)
-        elif t.text == "point":
-            ring = _require_ring(session, t)
+            cur.expect("=")
+            gens = [] if texts[cur.pos] == ";" else _parse_list(cur, _parse_poly, ring)
+            cur.expect(";")
+            session.ideals[name] = tuple(gens)
+        elif keyword == "point":
             name = _declared_name(cur, session, "point")
-            cur.expect("PUNCT", "=")
-            open_tok = cur.expect("PUNCT", "(")
+            cur.expect("=")
+            opening = cur.expect("(")
             coords = _parse_list(cur, _parse_rational)
-            cur.expect("PUNCT", ")")
-            cur.expect("PUNCT", ";")
+            cur.expect(")")
+            cur.expect(";")
             if len(coords) != ring.nvars:
-                raise ParseFailure(
-                    f"point has {len(coords)} coordinates for {ring.nvars} variables",
-                    open_tok.line,
-                    open_tok.column,
+                raise cur.fail(
+                    f"point has {len(coords)} coordinates for {ring.nvars} variables", opening
                 )
-            session.points[name.text] = tuple(coords)
+            session.points[name] = tuple(coords)
         else:
-            raise ParseFailure(f"unknown statement {t.text!r}", t.line, t.column)
+            raise cur.fail(f"unknown statement {keyword!r}", at)
     return session
 
 

@@ -358,7 +358,10 @@ def _terms(p: Polynomial):
     return [(e, c, type(c)) for e, c in p.terms.items()]
 
 
-def _session(reader):
+def session_view(reader):
+    """`reader` returning its session as plain data, so term order and
+    coefficient types count too."""
+
     def read(text):
         s = reader(text)
         return (
@@ -377,7 +380,7 @@ def _polynomial(parse):
 
 CHECKS = (
     (_tokens(tokenize), _tokens(session.tokenize)),
-    (_session(parse_session), _session(session.parse_session)),
+    (session_view(parse_session), session_view(session.parse_session)),
     (_polynomial(parse_polynomial), _polynomial(session.parse_polynomial)),
 )
 

@@ -12,6 +12,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 
+import pytest
+
 from gradedcones.cli import main
 from gradedcones.cones import (
     homogeneous_ideal,
@@ -20,6 +22,7 @@ from gradedcones.cones import (
     singular_locus,
     smooth_at_origin,
 )
+from gradedcones.errors import ParseFailure
 from gradedcones.grading import (
     GradingMap,
     NonPositivityCertificate,
@@ -40,6 +43,7 @@ from gradedcones.orbits import (
 )
 from gradedcones.orders import TermOrder
 from gradedcones.rings import PolyRing, Polynomial
+from gradedcones.session import parse_session
 from gradedcones.strata import MonomialIdealSpec, reduced_stratum, tail_scheme
 
 from helpers import (
@@ -346,3 +350,17 @@ def test_criterion_12_full_stratum_with_78_coefficients(capsys, tmp_path):
             hashlib.sha256(out.encode()).hexdigest()
             == "700de8e801b5820033ffc965a9c254bf5d6e6e403a894831bd0ce5ac53ac06cf"
         )
+
+
+def test_criterion_13_long_ring_declaration():
+    # a duplicate variable is looked up among the names already declared,
+    # which must not cost a pass over them per name
+    names = [f"v{i}" for i in range(50_000)]
+    with criterion(13, "ring of 50000 variables", 1.0):
+        session = parse_session("ring " + " ".join(names) + " ;")
+        assert session.ring.nvars == 50_000
+        text = "ring " + " ".join(names) + " v7 ;"
+        with pytest.raises(ParseFailure) as info:
+            parse_session(text)
+        assert info.value.reason == "duplicate variable 'v7'"
+        assert (info.value.line, info.value.column) == (1, text.rindex("v7") + 1)

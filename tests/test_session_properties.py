@@ -1,5 +1,6 @@
 """Property tests: formatting a session document and parsing it back is the identity,
-and blanks, line ends, comments and the optional * do not change what is parsed."""
+and blanks, line ends, comments and the optional * do not change what is parsed,
+nor make the reader disagree with the character-loop reader it replaced."""
 
 from fractions import Fraction
 
@@ -17,6 +18,12 @@ from gradedcones.session import (  # noqa: E402
     parse_session,
     tokenize,
 )
+
+import reference_reader  # noqa: E402
+
+# each reader's session as plain data: term order and coefficient types count
+READ = reference_reader.session_view(parse_session)
+READ_REFERENCE = reference_reader.session_view(reference_reader.parse_session)
 
 LETTERS = "adeginloprtxyZ_"  # spells every reserved word
 names = st.builds(
@@ -84,3 +91,4 @@ def test_blanks_comments_and_stars_leave_the_parse_alone(session, data):
         prev = tok.kind
     out += data.draw(st.sampled_from(("", "\n", "\r\n", " # end")))
     assert parse_session(out) == parse_session(text) == session
+    assert READ(out) == READ_REFERENCE(out)
