@@ -3,27 +3,32 @@
 A proper ideal generated by homogeneous polynomials under a positive
 grading defines a cone through the origin.  This module validates such
 ideals, extracts the linear span of their generators' degree-one parts,
-computes the minimal embedding (re-presenting the quotient inside the
-coordinates of the Zariski tangent space at the origin), decides smoothness
-at the origin, and produces singular-locus ideals from Jacobian minors.
+computes the minimal embedding, decides smoothness at the origin, and
+produces singular-locus ideals from Jacobian minors.
 
-The embedding works by eliminating the pivot variables of the linear part
-with a block order: the reduced basis then contains, for each eliminated
-variable, exactly one element "variable minus polynomial in the kept
-variables", which is simultaneously the substitution map and the proof that
-dropping the variable changes nothing.
+The minimal embedding is the paper's proof that such a cone embeds in its
+Zariski tangent space at the origin.  Gauss-Jordan elimination on the
+generators gives, for each eliminated variable x_p, an element x_p - s_p
+of the ideal with no eliminated variable in the linear part of s_p.  s_p
+has the degree of x_p, so under the positivity witness's weights (dots)
+every variable of a term of s_p of degree >= 2 weighs less than x_p:
+resolving the x_p in ascending dots, each after substituting the ones
+already resolved, leaves every s_p in the kept variables.  The other
+generators, with each x_p replaced by s_p, then generate the ideal's
+intersection with the kept ring.  Its reduced degrevlex basis there, and
+each s_p reduced modulo it, are what a block order (eliminated variables
+first, ties by degrevlex) would give: that order restricted to kept
+monomials is degrevlex on the kept ring, and reduced bases are unique.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import ImproperIdealError, NotHomogeneousError
 from .grading import Degree, GradingMap
 from .ideals import IdealPresentation, is_proper_homogeneous, krull_dimension
-from .orders import TermOrder
 from .rings import Polynomial
 
 
@@ -86,53 +91,44 @@ class LinearPartBasis:
 
 
 def linear_part(cone: HomogeneousIdeal) -> LinearPartBasis:
-    ring = cone.ring
-    n = ring.nvars
-    rows = []
-    for g in cone.base.generators:
-        lin = g.degree_component(1)
-        if not lin.is_zero():
-            rows.append(_coefficient_row(lin, n))
-    pivots = _rref(rows, n)
-    forms = []
-    for row in rows[: len(pivots)]:
-        terms = {}
-        for j, v in enumerate(row):
-            if v:
-                e = [0] * n
-                e[j] = 1
-                terms[tuple(e)] = v
-        form = Polynomial(ring, terms)
+    lin = [g.degree_component(1) for g in cone.base.generators]
+    pivots, _ = _gauss_jordan(lin, range(cone.ring.nvars))
+    for form in pivots.values():
         assert cone.grading.is_homogeneous(form), "mixed-degree linear form"
-        forms.append(form)
-    return LinearPartBasis(forms=tuple(forms), pivots=tuple(pivots))
+    return LinearPartBasis(forms=tuple(pivots.values()), pivots=tuple(pivots))
 
 
-def _coefficient_row(form: Polynomial, n: int) -> list[Fraction]:
-    """Coefficients of a linear form, one per variable."""
-    row = [Fraction(0)] * n
-    for e, c in form.terms.items():
-        row[e.index(1)] = c
-    return row
+def _gauss_jordan(rows, columns) -> tuple[dict[int, Polynomial], list[Polynomial]]:
+    """Gauss-Jordan elimination on polynomial rows, pivoting on variables.
 
-
-def _rref(rows: list[list[Fraction]], n: int) -> list[int]:
-    """In-place Gauss-Jordan with earliest-column pivoting; returns the pivot
-    columns.  The first len(pivots) rows end as the reduced row echelon basis."""
-    pivots: list[int] = []
-    for c in range(n):
-        r = len(pivots)
-        hit = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+    For each column variable x_c in the given order, the first row with an
+    x_c term is scaled to make that coefficient 1 and subtracted from every
+    other row, pivot rows included, that has an x_c term.  Returns the pivot
+    rows keyed by their column, in column order, and the nonzero rows left
+    without a pivot.  Whole rows are combined: under a positive grading a
+    homogeneous row with an x_c term has the degree of x_c, so homogeneous
+    rows stay homogeneous.  On linear forms this is the reduced row echelon
+    form with the earliest possible pivot columns.
+    """
+    rest = [r for r in rows if r]
+    pivots: dict[int, Polynomial] = {}
+    for c in columns:
+        if not rest:
+            break
+        (unit,) = rest[0].ring.variable(c).terms
+        hit = next((i for i, r in enumerate(rest) if unit in r.terms), None)
         if hit is None:
             continue
-        rows[r], rows[hit] = rows[hit], rows[r]
-        rows[r] = [v / rows[r][c] for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
-        pivots.append(c)
-    return pivots
+        row = rest.pop(hit)
+        row = row / row.terms[unit]
+
+        def clear(r: Polynomial) -> Polynomial:
+            return r - row * r.terms[unit] if unit in r.terms else r
+
+        rest = [r for r in map(clear, rest) if r]
+        pivots = {q: clear(r) for q, r in pivots.items()}
+        pivots[c] = row
+    return pivots, rest
 
 
 @dataclass(frozen=True)
@@ -178,15 +174,12 @@ def minimal_embedding(cone: HomogeneousIdeal, kept=None) -> EmbeddingResult:
     lin = linear_part(cone)
     tangent = n - lin.dimension()
     if kept is None:
-        eliminated = list(lin.pivots)
         kept_list = [i for i in range(n) if i not in lin.pivots]
     else:
         kept_list = sorted(set(kept))
         if any(not 0 <= i < n for i in kept_list):
             raise ValueError("kept variable index out of range")
-        eliminated = [i for i in range(n) if i not in kept_list]
-        _check_span(lin, kept_list, ring)
-    elim_set = frozenset(eliminated)
+    eliminated = [i for i in range(n) if i not in kept_list]
 
     if not eliminated:
         return EmbeddingResult(
@@ -198,43 +191,37 @@ def minimal_embedding(cone: HomogeneousIdeal, kept=None) -> EmbeddingResult:
             tangent_dim=tangent,
         )
 
-    order = TermOrder.elimination(elim_set, n, TermOrder.degrevlex())
-    gb = cone.base.groebner(order)
-    unit_exponents = {}
+    # kept variables and linear part span all linear forms iff every eliminated one pivots
+    pivots, rest = _gauss_jordan(cone.base.generators, eliminated)
     for p in eliminated:
-        e = [0] * n
-        e[p] = 1
-        unit_exponents[tuple(e)] = p
-    substitution: dict[int, Polynomial] = {}
-    embedded_gens: list[Polynomial] = []
-    for g in gb.elements:
-        le = order.leading_exponent(g)
-        p = unit_exponents.get(le)
-        if p is not None:
-            tail = g - ring.variable(p)
-            if tail.support_variables() & elim_set:
-                raise ArithmeticError("substitution tail mentions an eliminated variable")
-            substitution[p] = -tail
-        elif g.support_variables() & elim_set:
-            raise ArithmeticError(
-                "reduced basis element mixes eliminated and kept variables; "
-                "the kept set does not satisfy the span hypothesis"
+        if p not in pivots:
+            raise ValueError(
+                f"kept set plus linear part does not span the linear forms; "
+                f"{ring.names[p]} is not covered"
             )
-        else:
-            embedded_gens.append(g)
-    missing = [p for p in eliminated if p not in substitution]
-    if missing:
-        raise ArithmeticError(
-            f"no substitution found for variable(s) {[ring.names[p] for p in missing]}"
-        )
+    dots = cone.grading.require_positive().dots
+    resolved: dict[int, Polynomial] = {}
+    for p in sorted(pivots, key=dots.__getitem__):
+        resolved[p] = (ring.variable(p) - pivots[p]).substitute(resolved)
 
+    # map_variables raises if an eliminated variable survived the substitution
     sub_grading = cone.grading.restrict(kept_list)
     where: list[int | None] = [None] * n
     for pos, i in enumerate(kept_list):
         where[i] = pos
-    moved = [g.map_variables(sub_grading.ring, where) for g in embedded_gens]
-    embedded = homogeneous_ideal(moved, sub_grading)
-    result = EmbeddingResult(
+
+    def into_kept(g: Polynomial) -> Polynomial:
+        return g.substitute(resolved).map_variables(sub_grading.ring, where)
+
+    basis = IdealPresentation(sub_grading.ring, [into_kept(g) for g in rest]).groebner()
+    substitution = {
+        p: basis.normal_form(into_kept(ring.variable(p))).map_variables(ring, kept_list)
+        for p in eliminated
+    }
+    embedded = homogeneous_ideal(basis.elements, sub_grading)
+    if len(kept_list) == tangent:
+        assert linear_part(embedded).dimension() == 0, "minimal embedding kept a linear form"
+    return EmbeddingResult(
         source=cone,
         kept=tuple(kept_list),
         eliminated=tuple(eliminated),
@@ -242,23 +229,6 @@ def minimal_embedding(cone: HomogeneousIdeal, kept=None) -> EmbeddingResult:
         embedded=embedded,
         tangent_dim=tangent,
     )
-    if len(kept_list) == tangent:
-        assert linear_part(embedded).dimension() == 0, "minimal embedding kept a linear form"
-    return result
-
-
-def _check_span(lin: LinearPartBasis, kept_list, ring):
-    """kept variables plus the linear part must span all degree-one forms."""
-    n = ring.nvars
-    rows = [_coefficient_row(form, n) for form in lin.forms]
-    rows += [_coefficient_row(ring.variable(i), n) for i in kept_list]
-    pivots = _rref(rows, n)
-    if len(pivots) < n:
-        missing = next(i for i in range(n) if i not in pivots)
-        raise ValueError(
-            f"kept set plus linear part does not span the linear forms; "
-            f"{ring.names[missing]} is not covered"
-        )
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ rejects a non-positive grading.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd, lcm
 
@@ -53,7 +54,7 @@ class GradingMap:
     __slots__ = ("ring", "columns", "m", "_positivity")
 
     def __init__(self, ring: PolyRing, columns, ambient_dim: int | None = None):
-        cols = tuple(tuple(int(x) for x in c) for c in columns)
+        cols = tuple(tuple(map(operator.index, c)) for c in columns)
         if len(cols) != ring.nvars:
             raise ValueError("one degree vector per variable required")
         if cols:
@@ -64,7 +65,7 @@ class GradingMap:
                 raise ValueError("ambient_dim disagrees with the vectors")
         else:
             # a ring with no variables still needs a target Z^m
-            m = 0 if ambient_dim is None else int(ambient_dim)
+            m = 0 if ambient_dim is None else operator.index(ambient_dim)
         self.ring = ring
         self.columns = cols
         self.m = m

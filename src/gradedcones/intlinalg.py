@@ -10,11 +10,12 @@ in Computational Algebraic Number Theory*, section 2.4) and lattice indices
 
 from __future__ import annotations
 
+import operator
 from math import prod
 
 
 def _copy(rows) -> list[list[int]]:
-    return [[int(x) for x in row] for row in rows]
+    return [list(map(operator.index, row)) for row in rows]
 
 
 def hermite_normal_form(rows) -> list[list[int]]:

@@ -23,7 +23,7 @@ well-order although its tiebreak is not.
 
 from __future__ import annotations
 
-from operator import mul
+from operator import index, mul
 from typing import Sequence
 
 from .rings import Exponent, Polynomial
@@ -34,7 +34,7 @@ class TermOrder:
 
     def __init__(self, kind, weights=None, tiebreak=None):
         self.kind = kind
-        self.weights = tuple(int(w) for w in weights) if weights is not None else None
+        self.weights = tuple(map(index, weights)) if weights is not None else None
         self.tiebreak = tiebreak
 
     # -- constructors ----------------------------------------------------------

@@ -106,7 +106,7 @@ class PolyRing:
         return Polynomial(self, {tuple(e): Fraction(1)})
 
     def monomial(self, exponent: Sequence[int], coeff=1) -> "Polynomial":
-        exponent = tuple(int(x) for x in exponent)
+        exponent = tuple(map(operator.index, exponent))
         if len(exponent) != self.nvars or any(x < 0 for x in exponent):
             raise ValueError(f"bad exponent {exponent} for {self!r}")
         c = _exact(coeff)

@@ -25,6 +25,7 @@ positivity LP is still solved, for the witness the report prints.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
@@ -47,7 +48,7 @@ class MonomialIdealSpec:
     order: TermOrder
 
     def __post_init__(self):
-        gens = tuple(tuple(int(x) for x in e) for e in self.generators)
+        gens = tuple(tuple(map(operator.index, e)) for e in self.generators)
         object.__setattr__(self, "generators", gens)
         for e in gens:
             if len(e) != self.ring.nvars or any(x < 0 for x in e):

@@ -6,7 +6,15 @@ its own; nothing here touches global state.
 
 from fractions import Fraction
 
-from gradedcones import GradingMap, PolyRing, Polynomial, PositivityWitness
+from gradedcones import (
+    GradingMap,
+    HomogeneousIdeal,
+    IdealPresentation,
+    PolyRing,
+    Polynomial,
+    PositivityWitness,
+)
+from gradedcones.ideals import is_proper_homogeneous
 
 
 def random_rational(rng, lo=-4, hi=4, nonzero=False) -> Fraction:
@@ -66,3 +74,25 @@ def torus_scaled(point_coords, t, grading: GradingMap):
                 v *= Fraction(tk) ** e
         out.append(v)
     return tuple(out)
+
+
+def stratum_cone(ideal: IdealPresentation, grading: GradingMap) -> HomogeneousIdeal:
+    """A stratum ideal as a cone, without homogeneous_ideal's Groebner basis.
+
+    Stratum equations are homogeneous for the head-minus-tail grading, and
+    no equation is a constant, so the ideal is proper.
+    """
+    assert is_proper_homogeneous(ideal)
+    degrees = tuple(grading.homogeneous_degree(g) for g in ideal.generators)
+    return HomogeneousIdeal(base=ideal, grading=grading, degrees=degrees)
+
+
+def sympy_expr(sympy, p: Polynomial, symbols):
+    """p as a sympy expression in the given symbols, one per variable."""
+    return sympy.Add(
+        *(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(v**k for v, k in zip(symbols, e)))
+            for e, c in p.terms.items()
+        )
+    )

@@ -44,12 +44,13 @@ from gradedcones.orbits import (
 from gradedcones.orders import TermOrder
 from gradedcones.rings import PolyRing, Polynomial
 from gradedcones.session import parse_session
-from gradedcones.strata import MonomialIdealSpec, reduced_stratum, tail_scheme
+from gradedcones.strata import MonomialIdealSpec, reduced_stratum, stratum_ideal, tail_scheme
 
 from helpers import (
     random_homogeneous_generators,
     random_positive_grading,
     random_rational,
+    stratum_cone,
     torus_scaled,
 )
 
@@ -364,3 +365,22 @@ def test_criterion_13_long_ring_declaration():
             parse_session(text)
         assert info.value.reason == "duplicate variable 'v7'"
         assert (info.value.line, info.value.column) == (1, text.rindex("v7") + 1)
+
+
+def test_criterion_14_embedding_of_a_68_coefficient_stratum():
+    # the stratum of x^3, x^2y, xy^2, x^2z, x^2w in x y z w under degrevlex
+    # has 68 coefficient variables, of which the graded substitution
+    # eliminates 57; the cone is built without homogeneous_ideal, whose
+    # properness check would compute a Groebner basis of the stratum ideal
+    ring = PolyRing(("x", "y", "z", "w"))
+    heads = ((3, 0, 0, 0), (2, 1, 0, 0), (1, 2, 0, 0), (2, 0, 1, 0), (2, 0, 0, 1))
+    scheme = tail_scheme(MonomialIdealSpec(ring, heads, TermOrder.degrevlex()))
+    ideal = stratum_ideal(scheme).stratum_ideal
+    cone = stratum_cone(ideal, scheme.coefficient_grading)
+    with criterion(14, "embedding of a 68-coefficient stratum", 1.5):
+        emb = minimal_embedding(cone)
+    assert scheme.coefficient_ring.nvars == 68
+    assert (len(emb.kept), emb.tangent_dim) == (11, 11)
+    assert emb.embedded.base.is_zero_ideal()
+    for g in ideal.generators:
+        assert emb.substitute(g).is_zero()

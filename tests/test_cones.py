@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from gradedcones.cones import (
     homogeneous_ideal,
     linear_part,
@@ -16,13 +18,16 @@ from gradedcones.errors import (
     NotHomogeneousError,
 )
 from gradedcones.grading import GradingMap
-from gradedcones.ideals import IdealPresentation, krull_dimension
-from gradedcones.rings import PolyRing
+from gradedcones.ideals import IdealPresentation, eliminate, krull_dimension
+from gradedcones.orders import TermOrder
+from gradedcones.rings import PolyRing, Polynomial
 
+import reference_embedding
 from helpers import (
     random_homogeneous_generators,
     random_positive_grading,
     random_rational,
+    sympy_expr,
     torus_scaled,
 )
 
@@ -242,3 +247,63 @@ def test_random_embeddings_preserve_dimension():
         d1 = krull_dimension(cone.base)
         d2 = krull_dimension(emb.embedded.base)
         assert d1 == d2
+
+
+def test_embedding_agrees_with_the_elimination_basis_reference():
+    # the graded substitution against the block-order elimination basis it
+    # replaced: linear parts, kept sets, substitutions, embedded ideals and
+    # rejection messages, on random cones and on stratum cones
+    assert reference_embedding.mismatches(300, seed=20090120) == []
+
+
+def _monic_basis(ring, polys):
+    """sympy polynomials as a set of our Polynomials, monic under degrevlex."""
+    grevlex = TermOrder.degrevlex()
+    out = set()
+    for poly in polys:
+        q = Polynomial(ring, {e: Fraction(int(c.p), int(c.q)) for e, c in poly.terms()})
+        out.add(q / grevlex.leading_coefficient(q))
+    return out
+
+
+def test_elimination_and_embedding_match_sympy():
+    # sympy's lex basis with the eliminated variables first cuts out the
+    # elimination ideal; its reduced grevlex basis in the kept variables must
+    # be what eliminate returns and the embedded ideal's generators, and it
+    # must contain every relation x_p - substitution[p]
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20090124)
+    checked = 0
+    while checked < 40:
+        cone = reference_embedding.random_cone(rng)
+        emb = minimal_embedding(cone)
+        if not emb.eliminated:
+            continue
+        checked += 1
+        ring = cone.ring
+        xs = sympy.symbols(ring.names)
+        elim = [xs[i] for i in emb.eliminated]
+        kept = [xs[i] for i in emb.kept]
+        lex = sympy.groebner(
+            [sympy_expr(sympy, g, xs) for g in cone.base.generators],
+            *elim,
+            *kept,
+            order="lex",
+            domain="QQ",
+        )
+        below = [g for g in lex.exprs if not g.free_symbols & set(elim)]
+        kept_ring = emb.embedded.ring
+        theirs = set()
+        if below:
+            theirs = _monic_basis(
+                kept_ring, sympy.groebner(below, *kept, order="grevlex", domain="QQ").polys
+            )
+        where = [None] * ring.nvars
+        for pos, i in enumerate(emb.kept):
+            where[i] = pos
+        ours = eliminate(cone.base, emb.eliminated).generators
+        assert {g.map_variables(kept_ring, where) for g in ours} == theirs, cone
+        assert set(emb.embedded.base.generators) == theirs, cone
+        for p in emb.eliminated:
+            relation = ring.variable(p) - emb.substitution[p]
+            assert lex.contains(sympy_expr(sympy, relation, xs)), (cone, p)

@@ -2,6 +2,7 @@
 
 import ast
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -233,3 +234,13 @@ def test_grading_equality_and_cache():
     assert g1 == G and hash(g1) == hash(G)
     # positivity result is cached on the instance
     assert g1.positivity() is g1.positivity()
+
+
+def test_non_integer_degrees_are_rejected_not_truncated():
+    ring = PolyRing(("x", "y"))
+    for columns in ([(1.5,), (2,)], [(1,), (Fraction(5, 2),)], [(1,), (2.0,)]):
+        with pytest.raises(TypeError):
+            GradingMap(ring, columns)
+    with pytest.raises(TypeError):
+        GradingMap(PolyRing(()), [], ambient_dim=1.0)
+    assert GradingMap(ring, [(True,), (2,)]).columns == ((1,), (2,))

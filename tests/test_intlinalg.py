@@ -317,3 +317,12 @@ def test_hermite_normal_form_matches_sympy():
         if ours:
             assert spans(ours, theirs) and spans(theirs, ours), rows
             assert spans(ours, rows), rows
+
+
+def test_non_integer_entries_are_rejected_not_truncated():
+    for rows in ([[1.0, 2]], [[1, Fraction(1, 2)]], [[1, 2], [3, 4.5]]):
+        with pytest.raises(TypeError):
+            hermite_normal_form(rows)
+        with pytest.raises(TypeError):
+            integer_kernel(rows)
+    assert rank([[True, 2]]) == 1

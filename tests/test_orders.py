@@ -122,3 +122,10 @@ def test_order_equality_and_tag():
     assert TermOrder.weighted((1, 2, 3), TermOrder.lex()) == TermOrder.weighted(
         (1, 2, 3), TermOrder.lex()
     )
+
+
+def test_non_integer_weights_are_rejected_not_truncated():
+    for weights in ([1.9, 2], [1, 2.0]):
+        with pytest.raises(TypeError):
+            TermOrder.weighted(weights, TermOrder.lex())
+    assert TermOrder.weighted([1, 2], TermOrder.lex()).weights == (1, 2)

@@ -123,3 +123,11 @@ def test_ring_equality_by_names(ring):
 def test_no_floats_accepted(ring):
     with pytest.raises((TypeError, ValueError)):
         ring.constant(0.5)
+
+
+def test_non_integer_exponents_are_rejected_not_truncated():
+    ring = PolyRing(("x", "y"))
+    for exponent in ((1.0, 2), (1, Fraction(2))):
+        with pytest.raises(TypeError):
+            ring.monomial(exponent)
+    assert ring.monomial([1, 2]) == parse_polynomial(ring, "x y^2")

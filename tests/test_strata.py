@@ -21,6 +21,8 @@ from gradedcones.strata import (
     tail_scheme,
 )
 
+from helpers import sympy_expr
+
 R = PolyRing(("x", "y"))
 LEX = TermOrder.lex()
 DRL = TermOrder.degrevlex()
@@ -329,16 +331,6 @@ def test_stratum_equations_match_the_combined_ring_reduction():
     assert len(covered) == 6 and nonzero > 100, (covered, nonzero)
 
 
-def _sympy_expr(sympy, p, symbols):
-    return sympy.Add(
-        *(
-            sympy.Rational(c.numerator, c.denominator)
-            * sympy.Mul(*(v**k for v, k in zip(symbols, e)))
-            for e, c in p.terms.items()
-        )
-    )
-
-
 def _sympy_stratum_equations(sympy, scheme, order_name):
     """x-coefficients of every S-polynomial reduced by sympy over QQ[C]."""
     xs = sympy.symbols(scheme.ideal.ring.names)
@@ -387,7 +379,7 @@ def test_stratum_ideal_matches_sympy_reduction():
             continue
         cases += 1
         theirs, cs = _sympy_stratum_equations(sympy, scheme, name)
-        ours = [_sympy_expr(sympy, g, cs) for g in stratum_ideal(scheme).stratum_ideal.generators]
+        ours = [sympy_expr(sympy, g, cs) for g in stratum_ideal(scheme).stratum_ideal.generators]
         nonzero += bool(ours)
         if not ours:
             assert not theirs, (gens, name)
@@ -396,3 +388,10 @@ def test_stratum_ideal_matches_sympy_reduction():
         basis_ours = sympy.groebner(ours, *cs, order="grevlex").exprs
         assert sympy.groebner(theirs, *cs, order="grevlex").exprs == basis_ours, (gens, name)
     assert nonzero > 10
+
+
+def test_non_integer_monomial_exponents_are_rejected_not_truncated():
+    for generators in (((2.0, 0.5),), ((2, 0), (Fraction(1), 3))):
+        with pytest.raises(TypeError):
+            MonomialIdealSpec(R, generators, TermOrder.lex())
+    assert MonomialIdealSpec(R, ([2, 0],), TermOrder.lex()).generators == ((2, 0),)
