@@ -8,6 +8,10 @@ so it never perturbs the report.
 
 Exit codes: 0 success, 1 mathematical rejection or resource cap, 2 parse
 error or command line usage error.
+
+The command line grammar is the `COMMANDS` table.  A plain command line is
+read from the table directly; argparse is built only for help and usage
+errors, which it words and prints.
 """
 
 from __future__ import annotations
@@ -52,13 +56,17 @@ from .strata import MonomialIdealSpec, reduced_stratum as compute_reduced_stratu
 def main(argv=None) -> int:
     """Run one subcommand; argv defaults to sys.argv[1:].
 
-    Only the named command's subparser is built: building all of them costs
-    more than most commands take.  Anything else (no command, a leading
-    option, an unknown name, top-level help) goes to the full parser.
+    A plain command line is read from the table by `parse_plain`: building
+    an argparse parser costs more than most commands take.  Only when that
+    declines is argparse built, for help and usage errors: the named
+    command's subparser alone, or the full parser for anything else (no
+    command, a leading option, an unknown name, top-level help).
     """
     argv = sys.argv[1:] if argv is None else argv
-    named = argv[:1] if argv[:1] and argv[0] in COMMANDS else COMMANDS
-    args = build_parser(named).parse_args(argv)
+    args = parse_plain(argv)
+    if args is None:
+        named = argv[:1] if argv[:1] and argv[0] in COMMANDS else COMMANDS
+        args = build_parser(named).parse_args(argv)
     started = time.perf_counter()
     try:
         session = parse_session(_read_input(args))
@@ -93,10 +101,17 @@ def main(argv=None) -> int:
 
 
 def _read_input(args) -> str:
-    if args.file:
-        with open(args.file, encoding="utf-8") as handle:
+    # surrogateescape, as stdin reads: bytes that are not UTF-8 become a
+    # parse error at their line and column, whichever way they came
+    if args.file is None:
+        return sys.stdin.read()
+    try:
+        with open(args.file, encoding="utf-8", errors="surrogateescape") as handle:
             return handle.read()
-    return sys.stdin.read()
+    except OSError as err:
+        parser = argparse.ArgumentParser(prog=f"{PROG} {args.command}")
+        _add_options(parser, args.command)
+        parser.error(f"argument --file: can't open {args.file!r}: {err.strerror}")
 
 
 def _diagnostics(err: GradedConesError) -> dict:
@@ -180,7 +195,9 @@ def _need_grading(session: SessionInput) -> GradingMap:
 
 
 def _pick_ideal(session: SessionInput, args):
-    name = getattr(args, "ideal", None) or session.sole_ideal_name()
+    name = args.ideal
+    if name is None:
+        name = session.sole_ideal_name()
     if name is None:
         raise Rejection("no ideal selected: declare exactly one or pass --ideal")
     if name not in session.ideals:
@@ -189,7 +206,9 @@ def _pick_ideal(session: SessionInput, args):
 
 
 def _pick_point(session: SessionInput, args) -> tuple[str, RationalPoint]:
-    name = getattr(args, "point", None) or session.sole_point_name()
+    name = args.point
+    if name is None:
+        name = session.sole_point_name()
     if name is None:
         raise Rejection("no point selected: declare exactly one or pass --point")
     if name not in session.points:
@@ -276,7 +295,7 @@ def _cmd_decompose(session, args) -> dict:
 def _cmd_embed(session, args) -> dict:
     name, cone = _cone(session, args)
     kept = None
-    if getattr(args, "keep", None):
+    if args.keep is not None:
         kept = _variable_indices(session, args.keep)
     try:
         emb = minimal_embedding(cone, kept=kept)
@@ -408,7 +427,9 @@ def _cmd_curve(session, args) -> dict:
         "ideal": None,
         "stays_on_cone": None,
     }
-    ideal_name = getattr(args, "ideal", None) or session.sole_ideal_name()
+    ideal_name = args.ideal
+    if ideal_name is None:
+        ideal_name = session.sole_ideal_name()
     if ideal_name is not None:
         if ideal_name not in session.ideals:
             raise Rejection(f"ideal {ideal_name!r} is not declared")
@@ -480,6 +501,13 @@ class Command(NamedTuple):
     options: tuple  # (flag, add_argument keywords), in help order
 
 
+PROG = "gradedcones"
+# taken by every command, ahead of its own options; the keywords used here
+# and in COMMANDS are the ones parse_plain reads
+SHARED_OPTIONS = (
+    ("--file", {"help": "input document (defaults to stdin)"}),
+    ("--json", {"action": "store_true", "help": "machine-readable output"}),
+)
 _IDEAL = ("--ideal", {})
 _POINT = ("--point", {})
 _ORDER = ("--order", {"choices": ("lex", "degrevlex", "weighted"), "default": "degrevlex"})
@@ -520,6 +548,53 @@ COMMANDS = {
 }
 
 
+def parse_plain(argv) -> argparse.Namespace | None:
+    """The namespace `build_parser().parse_args(argv)` gives, read from `COMMANDS`.
+
+    Returns None, leaving argv to argparse, when argv is empty or does not
+    start with a command; when a token is not exactly one of that command's
+    long flags (an abbreviation, `--flag=value`, `-h`, `--`, a positional);
+    when an option's value is missing or starts with `-`; when its `type`
+    raises ValueError or it is not one of its `choices`; and when a required
+    option is absent.  A repeated option keeps its last value, as in
+    argparse.  Of the `add_argument` keywords, it reads `default`, `choices`,
+    `type`, `required` and `action="store_true"`.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    options = dict(SHARED_OPTIONS + COMMANDS[argv[0]].options)
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        keywords = options.get(flag)
+        if keywords is None:
+            return None
+        if keywords.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        if "type" in keywords:
+            try:
+                value = keywords["type"](value)
+            except ValueError:
+                return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        given[flag] = value
+    args = argparse.Namespace(command=argv[0])
+    for flag, keywords in options.items():
+        if flag in given:
+            value = given[flag]
+        elif keywords.get("required"):
+            return None
+        else:
+            value = keywords.get("default", False if keywords.get("action") == "store_true" else None)
+        setattr(args, flag[2:], value)
+    return args
+
+
 def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
     """The argument parser with a subparser for each of `names`.
 
@@ -529,20 +604,20 @@ def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
     "invalid choice" messages depend on.
     """
     parser = argparse.ArgumentParser(
-        prog="gradedcones",
+        prog=PROG,
         description="Exact computations with multigraded ideals, cones, "
         "torus orbits, and Groebner strata.",
     )
     metavar = None if len(names) == len(COMMANDS) else "{" + ",".join(COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in names:
-        command = COMMANDS[name]
-        sp = sub.add_parser(name, help=command.help)
-        sp.add_argument("--file", help="input document (defaults to stdin)")
-        sp.add_argument("--json", action="store_true", help="machine-readable output")
-        for flag, keywords in command.options:
-            sp.add_argument(flag, **keywords)
+        _add_options(sub.add_parser(name, help=COMMANDS[name].help), name)
     return parser
+
+
+def _add_options(parser: argparse.ArgumentParser, name: str) -> None:
+    for flag, keywords in SHARED_OPTIONS + COMMANDS[name].options:
+        parser.add_argument(flag, **keywords)
 
 
 if __name__ == "__main__":

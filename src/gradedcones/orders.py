@@ -23,7 +23,7 @@ well-order although its tiebreak is not.
 
 from __future__ import annotations
 
-from operator import index, mul
+from operator import index, mul, neg
 from typing import Sequence
 
 from .rings import Exponent, Polynomial
@@ -63,7 +63,7 @@ class TermOrder:
         if kind == "lex":
             return e
         if kind == "degrevlex":
-            return (sum(e), tuple(-x for x in reversed(e)))
+            return (sum(e), tuple(map(neg, e[::-1])))
         if kind == "weighted":
             w = self.weights
             if len(w) != len(e):

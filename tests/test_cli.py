@@ -1,9 +1,11 @@
 """Command line driver: reports, exit codes, JSON and text rendering."""
 
+import contextlib
 import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from gradedcones.cli import COMMANDS, build_parser, main
+from gradedcones.cli import COMMANDS, SHARED_OPTIONS, build_parser, main, parse_plain
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -244,8 +246,21 @@ def test_orbit_closure_rejects_a_non_positive_grading(run):
             "grading [" + ",".join("[1]" for _ in range(21)) + "] ;\n",
             "20 variables",
         ),
+        # an empty name is a name, not a request for the sole declaration
+        (["gb", "--ideal", ""], EXAMPLE, "ideal '' is not declared"),
+        (["orbit-dim", "--point", ""], EXAMPLE, "point '' is not declared"),
+        (["curve", "--ideal", ""], EXAMPLE, "ideal '' is not declared"),
+        (["embed", "--keep", ""], EXAMPLE, "unknown variable ''"),
     ],
-    ids=["embed-keep-short-of-span", "stratum-mu-negative", "stratum-mu-21-variables"],
+    ids=[
+        "embed-keep-short-of-span",
+        "stratum-mu-negative",
+        "stratum-mu-21-variables",
+        "empty-ideal-name",
+        "empty-point-name",
+        "curve-empty-ideal-name",
+        "embed-keep-nothing",
+    ],
 )
 def test_invalid_arguments_are_rejections(run, argv, doc, message):
     code, out = run(argv + ["--json"], doc=doc)
@@ -378,6 +393,125 @@ def test_help_and_usage_errors_match_the_full_parser(capsys, argv):
     # how it exits must not tell the two apart
     expected = _exit(lambda: build_parser().parse_args(argv), capsys)
     assert _exit(lambda: main(argv), capsys) == expected
+
+
+@pytest.mark.parametrize(
+    "where, reason",
+    [
+        ("missing", "No such file or directory"),
+        ("directory", "Is a directory"),
+        ("empty", "No such file or directory"),  # not stdin: that is no --file
+    ],
+)
+def test_a_file_that_cannot_be_opened_is_a_usage_error(capsys, tmp_path, where, reason):
+    paths = {"missing": str(tmp_path / "missing.gc"), "directory": str(tmp_path), "empty": ""}
+    path = paths[where]
+    code, out, err = _exit(lambda: main(["gb", "--file", path]), capsys)
+    # the usage line is the one argparse prints for the command's own errors
+    usage = _exit(lambda: main(["gb", "--order", "x"]), capsys)[2]
+    assert (code, out) == (2, "")
+    assert err == usage[: usage.index("gradedcones gb: error:")] + (
+        f"gradedcones gb: error: argument --file: can't open {path!r}: {reason}\n"
+    )
+
+
+def test_a_file_that_is_not_utf8_reads_as_stdin_does(capsys, monkeypatch, tmp_path):
+    data = "ring x ;\nideal I = x".encode() + b"\xff ;\n"
+    path = tmp_path / "latin.gc"
+    path.write_bytes(data)
+    from_file = main(["check", "--json", "--file", str(path)]), capsys.readouterr().out
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+    monkeypatch.setattr("sys.stdin", stdin)
+    from_stdin = main(["check", "--json"]), capsys.readouterr().out
+    assert from_file == from_stdin
+    assert from_file[0] == 2
+    assert json.loads(from_file[1])["diagnostics"]["column"] == 12
+
+
+def test_the_table_uses_only_keywords_the_reader_reads():
+    known = {"default", "choices", "type", "required", "action", "help"}
+    for name, command in COMMANDS.items():
+        for flag, keywords in SHARED_OPTIONS + command.options:
+            assert flag.startswith("--") and set(keywords) <= known, (name, flag)
+            assert keywords.get("action", "store_true") == "store_true", (name, flag)
+
+
+def _documented_command_lines():
+    # a line that runs gradedcones, alone or after a pipe, up to a redirection or ||
+    pattern = re.compile(r"^(?:.*\| )?gradedcones ([^|<\n]*)", flags=re.MULTILINE)
+    for doc in (ROOT / "README.md", ROOT / "demos" / "cli_tour.sh"):
+        for line in pattern.findall(doc.read_text(encoding="utf-8")):
+            yield shlex.split(line)
+
+
+def test_documented_command_lines_take_the_plain_path():
+    lines = list(_documented_command_lines())
+    assert len(lines) >= 10  # three in the README, seven in the tour
+    for argv in lines:
+        args = parse_plain(argv)
+        assert args is not None, argv
+        assert args == build_parser().parse_args(argv)
+
+
+def _argparse_or_exit(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return build_parser().parse_args(argv)
+        except SystemExit:
+            return SystemExit
+
+
+def test_plain_reader_agrees_with_argparse():
+    # parse_plain reads argv as argparse does or leaves it to argparse: it
+    # never accepts what argparse rejects nor reads an option differently
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    every_flag = sorted({flag for c in COMMANDS.values() for flag, _ in SHARED_OPTIONS + c.options})
+    odd_values = st.sampled_from(["-1", "-h", "--", "-", " 7", "\u0663", "--json"])
+    odd_words = st.sampled_from([["-h"], ["--help"], ["--"], ["extra"], ["--h"]])
+
+    def value(keywords):
+        # a good value, or a bad choice, or not an integer for --mu
+        if "choices" in keywords:
+            return st.sampled_from(keywords["choices"] + ("lex2", "Full", ""))
+        if "type" in keywords:
+            return st.one_of(st.integers(0, 25).map(str), st.sampled_from(["1.5", "x", ""]))
+        return st.sampled_from(["F", "P", "x,y", "doc.gc", ""])
+
+    def spelled(flag, keywords):
+        # mostly one exact flag with a good value; one time in three something odd
+        exact = value(keywords).map(lambda v: [flag, v])
+        if keywords.get("action") == "store_true":
+            exact = st.just([flag])
+        odd = st.one_of(
+            odd_values.map(lambda v: [flag, v]),
+            st.just([flag]),
+            st.integers(1, len(flag) - 3).map(lambda n: [flag[:-n]]),
+            st.one_of(value(keywords), odd_values).map(lambda v: [f"{flag}={v}"]),
+            st.sampled_from(every_flag).map(lambda f: [f]),
+            odd_words,
+        )
+        return st.integers(0, 2).flatmap(lambda k: odd if k == 0 else exact)
+
+    def command_line(name):
+        options = SHARED_OPTIONS + COMMANDS.get(name, COMMANDS["stratum"]).options
+        words = st.lists(st.sampled_from(options).flatmap(lambda o: spelled(*o)), max_size=4)
+        return words.map(lambda parts: [name] + [word for part in parts for word in part])
+
+    bogus = st.sampled_from(["bogus", "", "-h", "--json", "g", "stratum_mu"])
+    names = st.integers(0, 9).flatmap(lambda k: bogus if k == 0 else st.sampled_from(list(COMMANDS)))
+
+    @hypothesis.settings(max_examples=600, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(names.flatmap(command_line))
+    def agree(argv):
+        args = parse_plain(argv)
+        expected = _argparse_or_exit(argv)
+        if expected is SystemExit:
+            assert args is None, argv
+        else:
+            assert args is None or args == expected, argv
+
+    agree()
 
 
 def test_readme_lists_every_command_with_its_flags():

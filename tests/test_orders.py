@@ -60,6 +60,19 @@ def test_elimination_keys_match_the_block_degree_key():
             assert order.key(e) == block_key(block, tiebreak, e)
 
 
+def test_degrevlex_sorts_as_the_generator_key():
+    # the degrevlex key as a generator expression, before it mapped neg
+    def generator_key(e):
+        return (sum(e), tuple(-x for x in reversed(e)))
+
+    rng = random.Random(20090118)
+    degrevlex = TermOrder.degrevlex()
+    for _ in range(100):
+        nvars = rng.randint(1, 15)
+        exponents = [tuple(rng.randint(0, 4) for _ in range(nvars)) for _ in range(30)]
+        assert sorted(exponents, key=degrevlex.key) == sorted(exponents, key=generator_key)
+
+
 def test_well_order_detection():
     assert TermOrder.lex().is_well_order()
     assert TermOrder.degrevlex().is_well_order()
