@@ -245,6 +245,12 @@ def _names(ring, indices) -> list[str]:
     return [ring.names[i] for i in indices]
 
 
+def _substitution(emb) -> list[dict]:
+    names = emb.source.ring.names
+    subs = sorted(emb.substitution.items())
+    return [{"variable": names[i], "value": format_polynomial(s)} for i, s in subs]
+
+
 def _positivity_report(w: PositivityWitness) -> dict:
     return {"positive": True, "omega": list(w.omega), "dots": list(w.dots)}
 
@@ -306,10 +312,7 @@ def _cmd_embed(session, args) -> dict:
         "ideal": name,
         "kept": _names(ring, emb.kept),
         "eliminated": _names(ring, emb.eliminated),
-        "substitution": [
-            {"variable": ring.names[i], "value": format_polynomial(emb.substitution[i])}
-            for i in sorted(emb.substitution)
-        ],
+        "substitution": _substitution(emb),
         "embedded_ring": list(emb.embedded.ring.names),
         "embedded_generators": [format_polynomial(g) for g in emb.embedded.base.generators],
         "embedded_grading": [list(c) for c in emb.embedded.grading.columns],
@@ -483,10 +486,7 @@ def _cmd_stratum(session, args) -> dict:
         "reduced": {
             "eliminated": _names(cring, emb.eliminated),
             "kept": _names(cring, emb.kept),
-            "substitution": [
-                {"variable": cring.names[i], "value": format_polynomial(emb.substitution[i])}
-                for i in sorted(emb.substitution)
-            ],
+            "substitution": _substitution(emb),
             "embedded_ring": list(emb.embedded.ring.names),
             "embedded_generators": [
                 format_polynomial(g) for g in emb.embedded.base.generators

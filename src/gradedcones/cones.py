@@ -12,9 +12,9 @@ generators gives, for each eliminated variable x_p, an element x_p - s_p
 of the ideal with no eliminated variable in the linear part of s_p.  s_p
 has the degree of x_p, so under the positivity witness's weights (dots)
 every variable of a term of s_p of degree >= 2 weighs less than x_p:
-resolving the x_p in ascending dots, each after substituting the ones
-already resolved, leaves every s_p in the kept variables.  The other
-generators, with each x_p replaced by s_p, then generate the ideal's
+resolving the x_p in ascending dots, each by substituting the ones already
+resolved, writes every s_p straight into the kept ring.  The other
+generators, under the same substitution, generate the ideal's
 intersection with the kept ring.  Its reduced degrevlex basis there, and
 each s_p reduced modulo it, are what a block order (eliminated variables
 first, ties by degrevlex) would give: that order restricted to kept
@@ -25,11 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
-from .errors import ImproperIdealError, NotHomogeneousError
+from .errors import ImproperIdealError, NotHomogeneousError, Rejection
 from .grading import Degree, GradingMap
 from .ideals import IdealPresentation, is_proper_homogeneous, krull_dimension
 from .rings import Polynomial
+
+MINOR_LIMIT = 1000  # the most Jacobian minors singular_locus expands
 
 
 @dataclass(frozen=True)
@@ -152,12 +155,14 @@ class EmbeddingResult:
     tangent_dim: int
 
     def substitute(self, p: Polynomial) -> Polynomial:
-        """Apply the substitution and carry the result into the embedded ring."""
-        q = p.substitute(self.substitution)
-        where: list[int | None] = [None] * self.source.ring.nvars
+        """Apply the substitution; the result lies in the embedded ring."""
+        ring = self.embedded.ring
+        images: list[Polynomial | None] = [None] * self.source.ring.nvars
         for pos, i in enumerate(self.kept):
-            where[i] = pos
-        return q.map_variables(self.embedded.ring, where)
+            images[i] = ring.variable(pos)
+        for q, s in self.substitution.items():
+            images[q] = s.substitute(ring, images)
+        return p.substitute(ring, images)
 
 
 def minimal_embedding(cone: HomogeneousIdeal, kept=None) -> EmbeddingResult:
@@ -174,12 +179,12 @@ def minimal_embedding(cone: HomogeneousIdeal, kept=None) -> EmbeddingResult:
     lin = linear_part(cone)
     tangent = n - lin.dimension()
     if kept is None:
-        kept_list = [i for i in range(n) if i not in lin.pivots]
+        kept_list = sorted(set(range(n)).difference(lin.pivots))
     else:
         kept_list = sorted(set(kept))
         if any(not 0 <= i < n for i in kept_list):
             raise ValueError("kept variable index out of range")
-    eliminated = [i for i in range(n) if i not in kept_list]
+    eliminated = sorted(set(range(n)).difference(kept_list))
 
     if not eliminated:
         return EmbeddingResult(
@@ -199,26 +204,20 @@ def minimal_embedding(cone: HomogeneousIdeal, kept=None) -> EmbeddingResult:
                 f"kept set plus linear part does not span the linear forms; "
                 f"{ring.names[p]} is not covered"
             )
-    dots = cone.grading.require_positive().dots
-    resolved: dict[int, Polynomial] = {}
-    for p in sorted(pivots, key=dots.__getitem__):
-        resolved[p] = (ring.variable(p) - pivots[p]).substitute(resolved)
-
-    # map_variables raises if an eliminated variable survived the substitution
-    sub_grading = cone.grading.restrict(kept_list)
-    where: list[int | None] = [None] * n
+    kept_ring = ring.subring(kept_list)
+    # an eliminated variable has no image until resolved: substitute raises on one
+    images: list[Polynomial | None] = [None] * n
     for pos, i in enumerate(kept_list):
-        where[i] = pos
+        images[i] = kept_ring.variable(pos)
+    dots = cone.grading.require_positive().dots
+    for p in sorted(pivots, key=dots.__getitem__):
+        images[p] = (ring.variable(p) - pivots[p]).substitute(kept_ring, images)
 
-    def into_kept(g: Polynomial) -> Polynomial:
-        return g.substitute(resolved).map_variables(sub_grading.ring, where)
-
-    basis = IdealPresentation(sub_grading.ring, [into_kept(g) for g in rest]).groebner()
-    substitution = {
-        p: basis.normal_form(into_kept(ring.variable(p))).map_variables(ring, kept_list)
-        for p in eliminated
-    }
-    embedded = homogeneous_ideal(basis.elements, sub_grading)
+    embedded_gens = [g.substitute(kept_ring, images) for g in rest]
+    basis = IdealPresentation(kept_ring, embedded_gens).groebner()
+    back = [ring.variable(i) for i in kept_list]
+    substitution = {p: basis.normal_form(images[p]).substitute(ring, back) for p in eliminated}
+    embedded = homogeneous_ideal(basis.elements, cone.grading.restrict(kept_list))
     if len(kept_list) == tangent:
         assert linear_part(embedded).dimension() == 0, "minimal embedding kept a linear form"
     return EmbeddingResult(
@@ -281,13 +280,21 @@ def singular_locus(cone: HomogeneousIdeal) -> SingularLocus:
 
     Every generator is homogeneous: a partial derivative drops the degree of
     its variable, and a minor sums products with matching row and column
-    degree offsets, so homogeneity is preserved (and asserted).
+    degree offsets, so homogeneity is preserved (and asserted).  Each minor
+    is a cofactor expansion of c! products; more than MINOR_LIMIT minors is
+    a Rejection, raised before any is expanded.
     """
     ring = cone.ring
     n = ring.nvars
     gens = cone.base.generators
     d = krull_dimension(cone.base)
     c = n - d
+    count = comb(len(gens), c) * comb(n, c)
+    if count > MINOR_LIMIT:
+        raise Rejection(
+            f"the singular locus needs {count} Jacobian minors of size {c}, "
+            f"more than the limit of {MINOR_LIMIT}"
+        )
     jac = [[g.partial(i) for i in range(n)] for g in gens]
     minors: list[Polynomial] = []
     if c == 0:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 Exponent = tuple[int, ...]
 
@@ -271,21 +271,33 @@ class Polynomial:
             acc += t
         return acc
 
-    def substitute(self, mapping: Mapping[int, "Polynomial"]) -> "Polynomial":
-        """Replace variable i by mapping[i]; unmapped variables stay put."""
-        acc = self.ring.zero()
+    def substitute(self, ring: PolyRing, images: Sequence["Polynomial | None"]) -> "Polynomial":
+        """Replace each variable i by images[i], a polynomial of ring; the result lies in ring.
+
+        images[i] is None for a variable that must not occur: an occurrence
+        raises ValueError.  Variables of ring as images rename.  Each power
+        of an image is computed once, and every term's image accumulates
+        into one dict of ring.
+        """
+        powers: dict[tuple[int, int], Polynomial] = {}
+        out: dict[Exponent, Fraction] = {}
         for e, c in self.terms.items():
-            term = self.ring.constant(c)
-            plain = [0] * self.ring.nvars
+            image = Polynomial(ring, {(0,) * ring.nvars: c})
             for i, k in enumerate(e):
                 if not k:
                     continue
-                if i in mapping:
-                    term = term * mapping[i] ** k
+                if (i, k) not in powers:
+                    if images[i] is None:
+                        raise ValueError(f"variable {self.ring.names[i]} has no image in {ring!r}")
+                    powers[i, k] = images[i] ** k
+                image = image * powers[i, k]
+            for x, v in image.terms.items():
+                s = out.get(x, ZERO) + v
+                if s:
+                    out[x] = s
                 else:
-                    plain[i] = k
-            acc = acc + term * self.ring.monomial(tuple(plain))
-        return acc
+                    out.pop(x)
+        return Polynomial(ring, out)
 
     def partial(self, i: int) -> "Polynomial":
         """Formal partial derivative with respect to variable i."""
@@ -302,26 +314,6 @@ class Polynomial:
                 else:
                     out.pop(ne, None)
         return Polynomial(self.ring, out)
-
-    def map_variables(self, ring: PolyRing, where: Sequence[int | None]) -> "Polynomial":
-        """Carry this polynomial into ring, sending variable i to position where[i].
-
-        where[i] is None for variables that must not occur; occurrences raise.
-        """
-        out: dict[Exponent, Fraction] = {}
-        for e, c in self.terms.items():
-            ne = [0] * ring.nvars
-            for i, k in enumerate(e):
-                if not k:
-                    continue
-                pos = where[i]
-                if pos is None:
-                    raise ValueError(
-                        f"variable {self.ring.names[i]} has no image in {ring!r}"
-                    )
-                ne[pos] = k
-            out[tuple(ne)] = c
-        return Polynomial(ring, out)
 
     # -- normal forms of the coefficient vector --------------------------------
 

@@ -87,6 +87,14 @@ def stratum_cone(ideal: IdealPresentation, grading: GradingMap) -> HomogeneousId
     return HomogeneousIdeal(base=ideal, grading=grading, degrees=degrees)
 
 
+def rename(p: Polynomial, ring: PolyRing, where) -> Polynomial:
+    """p carried into ring, variable i to position where[i].
+
+    where[i] is None for a variable that must not occur in p.
+    """
+    return p.substitute(ring, [None if j is None else ring.variable(j) for j in where])
+
+
 def sympy_expr(sympy, p: Polynomial, symbols):
     """p as a sympy expression in the given symbols, one per variable."""
     return sympy.Add(

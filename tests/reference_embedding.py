@@ -139,10 +139,7 @@ def reference_minimal_embedding(cone: HomogeneousIdeal, kept=None) -> EmbeddingR
         )
 
     sub_grading = cone.grading.restrict(kept_list)
-    where: list[int | None] = [None] * n
-    for pos, i in enumerate(kept_list):
-        where[i] = pos
-    moved = [g.map_variables(sub_grading.ring, where) for g in embedded_gens]
+    moved = [_into_kept(g, sub_grading.ring, kept_list) for g in embedded_gens]
     embedded = homogeneous_ideal(moved, sub_grading)
     return EmbeddingResult(
         source=cone,
@@ -152,6 +149,19 @@ def reference_minimal_embedding(cone: HomogeneousIdeal, kept=None) -> EmbeddingR
         embedded=embedded,
         tangent_dim=tangent,
     )
+
+
+def _into_kept(g: Polynomial, kept_ring: PolyRing, kept_list) -> Polynomial:
+    """g, free of eliminated variables, renamed into the ring on the kept ones."""
+    where = {i: pos for pos, i in enumerate(kept_list)}
+    terms = {}
+    for e, c in g.terms.items():
+        moved = [0] * kept_ring.nvars
+        for i, k in enumerate(e):
+            if k:
+                moved[where[i]] = k
+        terms[tuple(moved)] = c
+    return Polynomial(kept_ring, terms)
 
 
 def _check_span(lin: LinearPartBasis, kept_list, ring):

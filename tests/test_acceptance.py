@@ -10,12 +10,13 @@ import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
 from gradedcones.cli import main
 from gradedcones.cones import (
+    MINOR_LIMIT,
     homogeneous_ideal,
     linear_part,
     minimal_embedding,
@@ -50,6 +51,7 @@ from helpers import (
     random_homogeneous_generators,
     random_positive_grading,
     random_rational,
+    rename,
     stratum_cone,
     torus_scaled,
 )
@@ -204,10 +206,7 @@ def test_criterion_06_minimal_embeddings():
             assert linear_part(emb.embedded).dimension() == 0
             assert krull_dimension(emb.embedded.base) == krull_dimension(cone.base)
 
-            back = [None] * emb.embedded.ring.nvars
-            for pos, i in enumerate(emb.kept):
-                back[pos] = i
-            lifted = [g.map_variables(ring, back) for g in emb.embedded.base.generators]
+            lifted = [rename(g, ring, emb.kept) for g in emb.embedded.base.generators]
             relations = [ring.variable(p) - emb.substitution[p] for p in emb.eliminated]
             assert IdealPresentation(ring, lifted + relations).same_ideal(cone.base)
 
@@ -384,3 +383,23 @@ def test_criterion_14_embedding_of_a_68_coefficient_stratum():
     assert emb.embedded.base.is_zero_ideal()
     for g in ideal.generators:
         assert emb.substitute(g).is_zero()
+
+
+def test_criterion_15_singular_locus_with_too_many_minors(capsys, tmp_path):
+    # twelve quadrics of codimension 6 in twelve variables have C(12, 6)^2
+    # Jacobian minors of size 6; they are counted, not expanded
+    with criterion(15, "singular locus past the minor limit", 1.0):
+        path = tmp_path / "doc.gc"
+        path.write_text(
+            "ring a b c d e f g h i j k l ; "
+            "grading [[1],[1],[1],[1],[1],[1],[1],[1],[1],[1],[1],[1]] ; "
+            "ideal I = a^2, b^2, c^2, d^2, e^2, f^2, a*b, c*d, e*f, a*c, b*d, e*a ;\n"
+        )
+        code = main(["singular", "--json", "--file", str(path)])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert report["diagnostics"] == {
+            "error": "Rejection",
+            "message": f"the singular locus needs {comb(12, 6) ** 2} Jacobian minors "
+            f"of size 6, more than the limit of {MINOR_LIMIT}",
+        }

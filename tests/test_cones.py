@@ -27,6 +27,7 @@ from helpers import (
     random_homogeneous_generators,
     random_positive_grading,
     random_rational,
+    rename,
     sympy_expr,
     torus_scaled,
 )
@@ -154,12 +155,7 @@ def test_embedding_regenerates_the_cone():
         [ring.parse("a + b^2"), ring.parse("c^2 - b^4")], grading1(ring, [2, 1, 2])
     )
     emb = minimal_embedding(cone)
-    lifted = []
-    back = [None] * emb.embedded.ring.nvars
-    for pos, i in enumerate(emb.kept):
-        back[pos] = i
-    for g in emb.embedded.base.generators:
-        lifted.append(g.map_variables(ring, back))
+    lifted = [rename(g, ring, emb.kept) for g in emb.embedded.base.generators]
     regenerated = IdealPresentation(
         ring, lifted + [ring.variable(p) - emb.substitution[p] for p in emb.eliminated]
     )
@@ -302,7 +298,7 @@ def test_elimination_and_embedding_match_sympy():
         for pos, i in enumerate(emb.kept):
             where[i] = pos
         ours = eliminate(cone.base, emb.eliminated).generators
-        assert {g.map_variables(kept_ring, where) for g in ours} == theirs, cone
+        assert {rename(g, kept_ring, where) for g in ours} == theirs, cone
         assert set(emb.embedded.base.generators) == theirs, cone
         for p in emb.eliminated:
             relation = ring.variable(p) - emb.substitution[p]

@@ -18,7 +18,12 @@ from gradedcones.ideals import (
 from gradedcones.orders import TermOrder
 from gradedcones.rings import PolyRing
 
-from helpers import random_homogeneous_generators, random_positive_grading, random_rational
+from helpers import (
+    random_homogeneous_generators,
+    random_positive_grading,
+    random_rational,
+    rename,
+)
 
 R2 = PolyRing(("x", "y"))
 R3 = PolyRing(("x", "y", "z"))
@@ -93,10 +98,10 @@ def _rabinowitsch(a: IdealPresentation, variables) -> IdealPresentation:
     back = into + [None]
     z = big.variable(ring.nvars)
     for i in sorted(variables):
-        gens = [g.map_variables(big, into) for g in a.generators]
+        gens = [rename(g, big, into) for g in a.generators]
         gens.append(z * big.variable(i) - big.one())
         kept = eliminate(IdealPresentation(big, gens), {ring.nvars})
-        a = IdealPresentation(ring, [g.map_variables(ring, back) for g in kept.generators])
+        a = IdealPresentation(ring, [rename(g, ring, back) for g in kept.generators])
     return a
 
 

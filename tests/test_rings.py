@@ -67,8 +67,103 @@ def test_evaluate(ring):
 def test_substitute(ring):
     p = parse_polynomial(ring, "x^2 + y")
     y = ring.variable(1)
-    q = p.substitute({0: y**2})
+    q = p.substitute(ring, [y**2, y])
     assert q == parse_polynomial(ring, "y^4 + y")
+    line = PolyRing(("t",))
+    t = line.variable(0)
+    assert p.substitute(line, [t + 1, t**3]) == parse_polynomial(line, "t^3 + t^2 + 2 t + 1")
+    assert parse_polynomial(ring, "x^2").substitute(line, [t, None]) == t**2
+    with pytest.raises(ValueError):
+        p.substitute(line, [t, None])
+
+
+# -- substitution against the two routines it replaced ---------------------------
+
+
+def _reference_substitute(p: Polynomial, mapping) -> Polynomial:
+    """Replace variable i by mapping[i]; unmapped variables stay put."""
+    acc = p.ring.zero()
+    for e, c in p.terms.items():
+        term = p.ring.constant(c)
+        plain = [0] * p.ring.nvars
+        for i, k in enumerate(e):
+            if not k:
+                continue
+            if i in mapping:
+                term = term * mapping[i] ** k
+            else:
+                plain[i] = k
+        acc = acc + term * p.ring.monomial(tuple(plain))
+    return acc
+
+
+def _reference_map_variables(p: Polynomial, ring: PolyRing, where) -> Polynomial:
+    """Carry p into ring, sending variable i to position where[i]; None raises."""
+    out = {}
+    for e, c in p.terms.items():
+        ne = [0] * ring.nvars
+        for i, k in enumerate(e):
+            if not k:
+                continue
+            pos = where[i]
+            if pos is None:
+                raise ValueError(f"variable {p.ring.names[i]} has no image in {ring!r}")
+            ne[pos] = k
+        out[tuple(ne)] = c
+    return Polynomial(ring, out)
+
+
+def _random_polynomial(rng, ring: PolyRing, variables, terms=4, degree=3) -> Polynomial:
+    """Up to `terms` random terms in the given variables, each of degree <= `degree`."""
+    out = {}
+    for _ in range(rng.randint(0, terms)):
+        e = [0] * ring.nvars
+        for _ in range(rng.randint(0, degree)):
+            if variables:
+                e[rng.choice(variables)] += 1
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        if c:
+            out[tuple(e)] = c
+    return Polynomial(ring, out)
+
+
+def test_substitute_matches_substitute_then_map_variables():
+    rng = random.Random(20090122)
+    raised = 0
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        ring = PolyRing(tuple(f"x{i}" for i in range(n)))
+        everything = list(range(n))
+        p = _random_polynomial(rng, ring, everything)
+
+        # into the same ring: some variables replaced, the others kept
+        mapping = {
+            i: _random_polynomial(rng, ring, everything, terms=3, degree=2)
+            for i in everything
+            if rng.random() < 0.5
+        }
+        images = [mapping.get(i, ring.variable(i)) for i in everything]
+        assert p.substitute(ring, images) == _reference_substitute(p, mapping)
+
+        # into the subring on the kept variables: the others get kept images
+        kept = sorted(rng.sample(everything, k=rng.randint(0, n)))
+        sub = ring.subring(kept)
+        where = [kept.index(i) if i in kept else None for i in everything]
+        lifted = {}
+        images = [sub.variable(pos) if pos is not None else None for pos in where]
+        for i in everything:
+            if i not in kept and rng.random() < 0.7:
+                images[i] = _random_polynomial(rng, sub, list(range(len(kept))), terms=3, degree=2)
+                lifted[i] = _reference_map_variables(images[i], ring, kept)
+        if any(images[i] is None for i in p.support_variables()):
+            # a variable without an image occurs, even where its term would vanish
+            raised += 1
+            with pytest.raises(ValueError, match="has no image"):
+                p.substitute(sub, images)
+        else:
+            expected = _reference_map_variables(_reference_substitute(p, lifted), sub, where)
+            assert p.substitute(sub, images) == expected
+    assert 20 < raised < 200
 
 
 def test_partial_derivative(ring):
@@ -94,11 +189,12 @@ def test_support_variables(ring):
 def test_map_variables(ring):
     big = PolyRing(("x", "y", "t"))
     p = parse_polynomial(big, "x^2 + y")
-    moved = p.map_variables(ring, [0, 1, None])
+    images = [ring.variable(0), ring.variable(1), None]
+    moved = p.substitute(ring, images)
     assert moved == parse_polynomial(ring, "x^2 + y")
     q = parse_polynomial(big, "t x")
     with pytest.raises(ValueError):
-        q.map_variables(ring, [0, 1, None])
+        q.substitute(ring, images)
 
 
 def test_scaled_primitive(ring):
