@@ -444,7 +444,10 @@ def _cmd_curve(session, args) -> dict:
 
 def _cmd_one_dim_orbit(session, args) -> dict:
     name, cone = _cone(session, args)
-    p = find_one_dim_orbit(cone)
+    try:
+        p = find_one_dim_orbit(cone)
+    except ValueError as err:
+        raise Rejection(str(err)) from err
     return {
         "ideal": name,
         "point": repr(p),

@@ -280,9 +280,12 @@ def singular_locus(cone: HomogeneousIdeal) -> SingularLocus:
 
     Every generator is homogeneous: a partial derivative drops the degree of
     its variable, and a minor sums products with matching row and column
-    degree offsets, so homogeneity is preserved (and asserted).  Each minor
-    is a cofactor expansion of c! products; more than MINOR_LIMIT minors is
-    a Rejection, raised before any is expanded.
+    degree offsets, so homogeneity is preserved (and asserted).  For each
+    choice of c rows, a table maps each column set to its nonzero minor on
+    the rows taken so far, and each row extends it by Laplace expansion along
+    that row: for c <= n/2 it never holds more than C(n, c) minors, so a minor
+    costs at most c*n products.  More than MINOR_LIMIT minors is a Rejection,
+    raised before any is expanded.
     """
     ring = cone.ring
     n = ring.nvars
@@ -297,13 +300,21 @@ def singular_locus(cone: HomogeneousIdeal) -> SingularLocus:
         )
     jac = [[g.partial(i) for i in range(n)] for g in gens]
     minors: list[Polynomial] = []
-    if c == 0:
-        minors.append(ring.one())
-    else:
-        # c is the height of a proper ideal, so c <= len(gens) by Krull's height theorem
-        for rows_sel in combinations(range(len(gens)), c):
-            for cols_sel in combinations(range(n), c):
-                minors.append(_poly_det([[jac[r][cc] for cc in cols_sel] for r in rows_sel]))
+    # c is the height of a proper ideal, so c <= len(gens) by Krull's height theorem
+    for rows_sel in combinations(range(len(gens)), c):
+        table = {(): ring.one()}
+        for r in rows_sel:
+            grown: dict[tuple[int, ...], Polynomial] = {}
+            for cols, minor in table.items():
+                for j, entry in enumerate(jac[r]):
+                    if entry and j not in cols:
+                        # row r comes last: the sign is that of the columns after j
+                        after = sum(k > j for k in cols)
+                        term = entry * minor if cols else entry
+                        key = tuple(sorted((*cols, j)))
+                        grown[key] = grown.get(key, 0) + (-term if after % 2 else term)
+            table = {cols: minor for cols, minor in grown.items() if minor}
+        minors.extend(table[cols] for cols in sorted(table))
     # principal ideals always have height 1, so this also covers hypersurfaces
     exact = len(gens) == c
     out = IdealPresentation(ring, tuple(gens) + tuple(minors))
@@ -314,15 +325,3 @@ def singular_locus(cone: HomogeneousIdeal) -> SingularLocus:
         presentation=out, grading=cone.grading, exact=exact, empty=empty, codimension=c
     )
 
-
-def _poly_det(matrix) -> Polynomial:
-    size = len(matrix)
-    if size == 1:
-        return matrix[0][0]
-    ring = matrix[0][0].ring
-    acc = ring.zero()
-    for j in range(size):
-        sub = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-        term = matrix[0][j] * _poly_det(sub)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc

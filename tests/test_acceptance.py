@@ -403,3 +403,34 @@ def test_criterion_15_singular_locus_with_too_many_minors(capsys, tmp_path):
             "message": f"the singular locus needs {comb(12, 6) ** 2} Jacobian minors "
             f"of size 6, more than the limit of {MINOR_LIMIT}",
         }
+
+
+def test_criterion_16_singular_locus_of_large_minors(capsys, tmp_path):
+    # eight quadrics in ten variables have 45 Jacobian minors of size 8, and
+    # twelve squares in twelve variables one of size 12: the budget holds
+    # only if a minor costs about c*n products, not the c! of a cofactor
+    # expansion
+    path = tmp_path / "doc.gc"
+    with criterion(16, "singular locus with minors of size 8 and 12", 1.0):
+        path.write_text(
+            "ring a b c d e f g h i j ; grading [[1],[1],[1],[1],[1],[1],[1],[1],[1],[1]] ; "
+            "ideal I = a^2 + i j, b^2 + i^2, c^2 + j^2, d^2 + i j, e^2 + i^2, f^2 + j^2, "
+            "g^2 + i j, h^2 + i^2 ;\n"
+        )
+        code = main(["singular", "--json", "--file", str(path)])
+        quadrics = json.loads(capsys.readouterr().out)["result"]
+        assert code == 0
+        path.write_text(
+            "ring a b c d e f g h i j k l ; "
+            "grading [[1],[1],[1],[1],[1],[1],[1],[1],[1],[1],[1],[1]] ; "
+            "ideal I = a^2, b^2, c^2, d^2, e^2, f^2, g^2, h^2, i^2, j^2, k^2, l^2 ;\n"
+        )
+        code = main(["singular", "--json", "--file", str(path)])
+        squares = json.loads(capsys.readouterr().out)["result"]
+        assert code == 0
+    # 33 of the 45 minors are nonzero
+    assert (quadrics["codimension"], len(quadrics["generators"])) == (8, 8 + 33)
+    assert squares["codimension"] == 12 and squares["exact"] and not squares["empty"]
+    assert squares["generators"] == [f"{v}^2" for v in "abcdefghijkl"] + [
+        "4096*a*b*c*d*e*f*g*h*i*j*k*l"
+    ]

@@ -246,6 +246,13 @@ def test_orbit_closure_rejects_a_non_positive_grading(run):
             "grading [" + ",".join("[1]" for _ in range(21)) + "] ;\n",
             "20 variables",
         ),
+        (
+            ["one-dim-orbit"],
+            "ring " + " ".join(f"y{i}" for i in range(21)) + " ;\n"
+            "grading [" + ",".join("[1]" for _ in range(21)) + "] ;\n"
+            "ideal F = y0^2 - y1 y2 ;\n",
+            "subset enumeration is limited to 20 variables",
+        ),
         # an empty name is a name, not a request for the sole declaration
         (["gb", "--ideal", ""], EXAMPLE, "ideal '' is not declared"),
         (["orbit-dim", "--point", ""], EXAMPLE, "point '' is not declared"),
@@ -256,6 +263,7 @@ def test_orbit_closure_rejects_a_non_positive_grading(run):
         "embed-keep-short-of-span",
         "stratum-mu-negative",
         "stratum-mu-21-variables",
+        "one-dim-orbit-21-variables",
         "empty-ideal-name",
         "empty-point-name",
         "curve-empty-ideal-name",

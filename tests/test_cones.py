@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -23,6 +24,7 @@ from gradedcones.orders import TermOrder
 from gradedcones.rings import PolyRing, Polynomial
 
 import reference_embedding
+import reference_singular
 from helpers import (
     random_homogeneous_generators,
     random_positive_grading,
@@ -225,6 +227,40 @@ def test_singular_locus_is_torus_stable():
         t = tuple(random_rational(rng, nonzero=True) for _ in range(2))
         moved = torus_scaled(base, t, G)
         assert all(g.evaluate(list(moved)).numerator == 0 for g in sing.generators)
+
+
+def test_singular_locus_agrees_with_the_cofactor_reference():
+    # the table of smaller minors against the recursive cofactor expansion it
+    # replaced: the same generators in the same order, zero minors dropped
+    assert reference_singular.mismatches(300, seed=20090125) == []
+
+
+def test_jacobian_minors_match_sympy():
+    # every nonzero c x c minor, rows then columns in combinations order, is
+    # sympy's determinant of that Jacobian submatrix
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20090127)
+    sizes = set()
+    with reference_singular.pair_cap(reference_singular.PAIR_CAP):
+        for _ in range(25):
+            cone = reference_singular.random_cone(rng)
+            locus = singular_locus(cone)
+            gens = cone.base.generators
+            xs = sympy.symbols(cone.ring.names)
+            exprs = [sympy_expr(sympy, g, xs) for g in gens]
+            jac = sympy.Matrix(len(gens), len(xs), lambda r, i: exprs[r].diff(xs[i]))
+            c = locus.codimension
+            sizes.add(c)
+            theirs = [
+                jac.extract(list(rows), list(cols)).det().expand()
+                for rows in combinations(range(len(gens)), c)
+                for cols in combinations(range(len(xs)), c)
+            ]
+            theirs = [d for d in theirs if d != 0]
+            ours = [sympy_expr(sympy, m, xs) for m in locus.presentation.generators[len(gens) :]]
+            assert len(ours) == len(theirs), cone
+            assert all((a - b).expand() == 0 for a, b in zip(ours, theirs)), cone
+    assert sizes == {0, 1, 2, 3, 4}
 
 
 def test_random_embeddings_preserve_dimension():
