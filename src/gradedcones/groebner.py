@@ -26,6 +26,20 @@ final basis is interreduced and monic, which makes it the unique reduced
 Groebner basis of the ideal; elements are listed in descending leading-term
 order.
 
+Before the pair loop, every generator that is a nonzero multiple of one
+variable x_i places x_i in the basis, and every term containing x_i is
+dropped from the other generators; this repeats while a drop leaves a new
+lone variable, as y1 + y2 does once y1 is placed.  That changes no ideal,
+since a dropped term is a multiple of x_i.  The pair loop and the
+interreduction then run on what is left, and the placed variables, monic,
+are merged into the result by leading term.  The union is the reduced basis
+under every well-order: each x_i is coprime to every remaining leading term,
+so their S-polynomials reduce to zero (Buchberger's first criterion,
+Buchberger 1979), no remaining element contains x_i, and x_i has no tail.
+If what is left is the unit ideal, the basis is {1} alone.  An orbit
+closure's vanishing coordinates are such generators; placed, they skip
+the pair update, the reducer search and the interreduction.
+
 The number of processed pairs is capped to keep runaway inputs from hanging
 a session; the cap is read from the environment (see DEFAULT_PAIR_LIMIT).
 """
@@ -170,6 +184,7 @@ def buchberger(
         return GroebnerBasis(ring, order, (), (), {"pairs_processed": 0, "basis_size": 0})
     ring = gens[0].ring
     cap = pair_limit()
+    placed, gens = _place_lone_variables(ring, gens)
 
     basis: list[Polynomial] = []
     leads: list[Exponent] = []
@@ -229,8 +244,43 @@ def buchberger(
             add(r)
 
     elements, element_leads = _interreduce(reducers, reducer_leads, order)
+    if placed and not (len(elements) == 1 and not any(element_leads[0])):
+        # not the unit ideal: merge the placed variables in by leading term
+        merged = sorted(
+            [*zip(element_leads, elements), *placed.items()],
+            key=lambda t: order.key(t[0]),
+            reverse=True,
+        )
+        element_leads = tuple(le for le, _ in merged)
+        elements = tuple(g for _, g in merged)
     stats = {"pairs_processed": processed, "basis_size": len(elements)}
     return GroebnerBasis(ring, order, elements, element_leads, stats)
+
+
+def _place_lone_variables(ring: PolyRing, gens):
+    """The lone variables of the ideal, and the generators left without them.
+
+    A generator that is a nonzero multiple of one variable x_i puts x_i in
+    the ideal, so every term containing x_i is dropped from the other
+    generators; that may leave a new lone variable, and the step repeats.
+    Returns a dict from each placed x_i's exponent to monic x_i, and the
+    nonzero generators that are left, none of which contains a placed
+    variable.
+    """
+    placed: dict[Exponent, Polynomial] = {}
+    while True:
+        # the term count first: most generators are not monomials
+        lone = [e for g in gens if len(g.terms) == 1 for e in g.terms if sum(e) == 1]
+        if not lone:
+            return placed, gens
+        hit = {e.index(1) for e in lone}
+        for e in lone:
+            placed[e] = Polynomial(ring, {e: Fraction(1)})
+        gens = [
+            Polynomial(ring, kept)
+            for g in gens
+            if (kept := {e: c for e, c in g.terms.items() if not any(e[i] for i in hit)})
+        ]
 
 
 def _interreduce(basis, leads, order: TermOrder):

@@ -34,7 +34,7 @@ from .ideals import (
     saturate,
 )
 from .orders import TermOrder
-from .rings import ZERO, PolyRing, Polynomial
+from .rings import ZERO, PolyRing, Polynomial, exact
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ class RationalPoint:
     coords: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
+        object.__setattr__(self, "coords", tuple(map(exact, self.coords)))
         if len(self.coords) != self.ring.nvars:
             raise ValueError("coordinate count does not match the ring")
 
@@ -57,7 +57,7 @@ class RationalPoint:
 
 
 def point(ring: PolyRing, coords) -> RationalPoint:
-    return RationalPoint(ring, tuple(Fraction(c) for c in coords))
+    return RationalPoint(ring, tuple(coords))
 
 
 @dataclass(frozen=True)
@@ -502,7 +502,7 @@ class RationalCurve:
     exponents: tuple[int, ...]
 
     def at(self, t) -> RationalPoint:
-        t = Fraction(t)
+        t = exact(t)
         return RationalPoint(
             self.point.ring,
             tuple(a * t**c for a, c in zip(self.point.coords, self.exponents)),

@@ -51,7 +51,7 @@ def exp_total(a: Exponent) -> int:
     return sum(a)
 
 
-def _exact(c) -> Fraction:
+def exact(c) -> Fraction:
     """Coerce to Fraction, refusing floats: this library is exact only."""
     if isinstance(c, float):
         raise TypeError("floating point values are not accepted; pass a Fraction")
@@ -95,7 +95,7 @@ class PolyRing:
         return self.constant(1)
 
     def constant(self, c) -> "Polynomial":
-        c = _exact(c)
+        c = exact(c)
         if c == 0:
             return self.zero()
         return Polynomial(self, {(0,) * self.nvars: c})
@@ -109,7 +109,7 @@ class PolyRing:
         exponent = tuple(map(operator.index, exponent))
         if len(exponent) != self.nvars or any(x < 0 for x in exponent):
             raise ValueError(f"bad exponent {exponent} for {self!r}")
-        c = _exact(coeff)
+        c = exact(coeff)
         if c == 0:
             return self.zero()
         return Polynomial(self, {exponent: c})
@@ -261,7 +261,7 @@ class Polynomial:
     def evaluate(self, values: Sequence) -> Fraction:
         if len(values) != self.ring.nvars:
             raise ValueError("wrong number of values")
-        vals = [_exact(v) for v in values]
+        vals = [exact(v) for v in values]
         acc = Fraction(0)
         for e, c in self.terms.items():
             t = c

@@ -434,3 +434,34 @@ def test_criterion_16_singular_locus_of_large_minors(capsys, tmp_path):
     assert squares["generators"] == [f"{v}^2" for v in "abcdefghijkl"] + [
         "4096*a*b*c*d*e*f*g*h*i*j*k*l"
     ]
+
+
+def test_criterion_17_orbit_closure_in_a_300_variable_ring(capsys, tmp_path):
+    # a point with 5 nonzero coordinates in 300 variables: the 295 vanishing
+    # coordinates are lone-variable generators, which go straight into each
+    # reduced basis instead of through the pair loop (35 s before)
+    n = 300
+    support = (1, 7, 13, 19, 25)
+    coords = ["0"] * n
+    for i, value in zip(support, ("1", "2", "-1", "1/2", "3")):
+        coords[i - 1] = value
+    path = tmp_path / "doc.gc"
+    path.write_text(
+        "ring " + " ".join(f"y{i}" for i in range(1, n + 1)) + " ;\n"
+        "grading [" + ",".join(f"[{1 + i % 5},{1 + i % 7}]" for i in range(n)) + "] ;\n"
+        "point P = (" + ", ".join(coords) + ") ;\n"
+    )
+    with criterion(17, "orbit closure in a 300-variable ring", 1.0):
+        code = main(["orbit-closure", "--point", "P", "--json", "--file", str(path)])
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert code == 0
+    vanishing = [f"y{i}" for i in range(1, n + 1) if i not in support]
+    generators = result["generators"]
+    assert result["dimension"] == 2
+    assert sorted(g for g in generators if g in vanishing) == sorted(vanishing)
+    assert [g for g in generators if g not in vanishing] == [
+        "3*y1^9 - 2*y19*y25",
+        "y7*y19 - y13^2",
+        "y7*y25 + 12*y13*y19",
+        "y13*y25 + 12*y19^2",
+    ]

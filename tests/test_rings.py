@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from gradedcones import PolyRing, Polynomial, parse_polynomial
+from gradedcones import GradingMap, PolyRing, Polynomial, parse_polynomial
+from gradedcones.orbits import RationalPoint, point, rational_curve_through
 from gradedcones.rings import exp_add, exp_divides, exp_lcm, exp_sub
 
 
@@ -219,6 +220,20 @@ def test_ring_equality_by_names(ring):
 def test_no_floats_accepted(ring):
     with pytest.raises((TypeError, ValueError)):
         ring.constant(0.5)
+
+
+def test_points_and_curves_refuse_floats(ring):
+    # Fraction(0.1) would be 3602879701896397/36028797018963968
+    base = point(ring, (3, Fraction(1, 2)))
+    curve = rational_curve_through(base, GradingMap(ring, [(1,), (2,)]))
+    for make in (
+        lambda: point(ring, (0.1, 1)),
+        lambda: RationalPoint(ring, (1, 2.0)),
+        lambda: curve.at(0.5),
+    ):
+        with pytest.raises(TypeError, match="floating point"):
+            make()
+    assert curve.at(Fraction(1, 2)).coords == (Fraction(3, 2), Fraction(1, 8))
 
 
 def test_non_integer_exponents_are_rejected_not_truncated():
