@@ -61,6 +61,14 @@ def homogeneous_ideal(generators, grading: GradingMap) -> HomogeneousIdeal:
     """
     grading.require_positive()
     base = IdealPresentation(grading.ring, generators)
+    degrees = generator_degrees(base, grading)
+    if not base.is_proper():
+        raise ImproperIdealError("generators span the unit ideal, not a cone")
+    return HomogeneousIdeal(base=base, grading=grading, degrees=degrees)
+
+
+def generator_degrees(base: IdealPresentation, grading: GradingMap) -> tuple[Degree, ...]:
+    """The degree of each generator, rejecting the first that is not homogeneous."""
     degrees = []
     for i, g in enumerate(base.generators):
         comps = grading.homogeneous_components(g)
@@ -72,9 +80,7 @@ def homogeneous_ideal(generators, grading: GradingMap) -> HomogeneousIdeal:
                 degrees=comps.keys(),
             )
         degrees.append(next(iter(comps)))
-    if not base.is_proper():
-        raise ImproperIdealError("generators span the unit ideal, not a cone")
-    return HomogeneousIdeal(base=base, grading=grading, degrees=tuple(degrees))
+    return tuple(degrees)
 
 
 @dataclass(frozen=True)

@@ -132,14 +132,23 @@ def saturate(a: IdealPresentation, variables, weights) -> IdealPresentation:
         return a
     out = a
     for i in variables:
-        least_xi = TermOrder.weighted([-1 if j == i else 0 for j in range(n)], TermOrder.degrevlex())
         gens = []
-        for g in out.groebner(TermOrder.weighted(weights, least_xi)).elements:
+        for g in out.groebner(saturation_order(weights, i)).elements:
             k = min(e[i] for e in g.terms)
             terms = {e[:i] + (e[i] - k,) + e[i + 1 :]: c for e, c in g.terms.items()}
             gens.append(Polynomial(a.ring, terms))
         out = IdealPresentation(a.ring, gens)
     return out
+
+
+def saturation_order(weights, i: int) -> TermOrder:
+    """saturate's order for x_i: weight first, then the least x_i exponent, then degrevlex.
+
+    Dividing the reduced basis under it by the powers of x_i, as saturate
+    does, leaves a Groebner basis of the saturation under the same order.
+    """
+    least_xi = [-1 if j == i else 0 for j in range(len(weights))]
+    return TermOrder.weighted(weights, TermOrder.weighted(least_xi, TermOrder.degrevlex()))
 
 
 def krull_dimension(a: IdealPresentation, order: TermOrder | None = None) -> int:
@@ -153,14 +162,15 @@ def krull_dimension(a: IdealPresentation, order: TermOrder | None = None) -> int
     gb = a.groebner(order)
     if gb.is_unit_ideal():
         raise ImproperIdealError("the unit ideal has no Krull dimension")
-    supports = []
-    for e in gb.leads:
-        supports.append(frozenset(i for i, x in enumerate(e) if x))
+    supports = [frozenset(i for i, x in enumerate(e) if x) for e in gb.leads]
+    # a single-variable support forces its variable into every hitting set,
+    # and that variable hits every support holding it
+    forced = {i for s in supports if len(s) == 1 for i in s}
+    rest = {s for s in supports if not s & forced}
     # remove supersets, they are hit automatically
-    supports = [s for s in supports if not any(t < s for t in supports)]
+    rest = [s for s in rest if not any(t < s for t in rest)]
     n = a.ring.nvars
-    best = _min_hitting_set(supports, n)
-    return n - best
+    return n - len(forced) - _min_hitting_set(rest, n)
 
 
 def _min_hitting_set(supports, n: int) -> int:

@@ -5,13 +5,17 @@ the character given by degree column i.  The orbit of a rational point is
 parametrized by substituting y_i -> a_i t^{column_i}; its dimension is the
 lattice rank of the support columns, and its closure is cut out by binomials
 coming from the integer kernel of the support columns (saturated by the
-support coordinates) plus the vanishing coordinates.
+support coordinates) plus the vanishing coordinates.  A support coordinate
+is saturated only when no binomial of a column relation, already in the
+ideal, shows it to be a nonzerodivisor, and the closure is checked from
+its lex basis alone.
 
 Also here: the union of coordinate subspaces where the orbit dimension is
 at most a bound (the flats of that rank in the column matroid), the
-largest orbit dimension on a cone, a rational search for one-dimensional
-orbits, cross-section charts, and the rational curves that witness every
-point's connection to the origin.
+largest orbit dimension on a cone (a coordinate point on the cone
+witnesses a non-vanishing coordinate without a saturation), a rational
+search for one-dimensional orbits, cross-section charts, and the rational
+curves that witness every point's connection to the origin.
 """
 
 from __future__ import annotations
@@ -22,9 +26,10 @@ from itertools import combinations
 from math import gcd
 
 from . import intlinalg
-from .cones import HomogeneousIdeal, homogeneous_ideal
+from .cones import HomogeneousIdeal, generator_degrees
 from .errors import DependentColumnsError, NoRationalPointError, Rejection
 from .grading import GradingMap
+from .groebner import normal_form
 from .ideals import (
     IdealPresentation,
     eliminate,
@@ -32,6 +37,7 @@ from .ideals import (
     is_proper_homogeneous,
     krull_dimension,
     saturate,
+    saturation_order,
 )
 from .orders import TermOrder
 from .rings import ZERO, PolyRing, Polynomial, exact
@@ -131,11 +137,28 @@ def orbit_closure_ideal(p: RationalPoint, grading: GradingMap) -> HomogeneousIde
     """The ideal of the closure of the orbit through p.
 
     Binomials from an integer kernel basis of the support columns,
-    saturated by each support coordinate, plus the vanishing coordinates.
-    Generators are normalized to content-free integer coefficients with a
-    positive leading sign.  The result is verified: homogeneous generators,
-    each vanishing along the parametrization, and Krull dimension equal to
-    the orbit dimension.
+    saturated by the support coordinates, plus the vanishing coordinates
+    (the lattice basis ideal saturated to the toric ideal: Eisenbud and
+    Sturmfels, Duke Math. J. 84, 1996).  Generators are the reduced lex
+    basis, normalized to content-free integer coefficients with a positive
+    leading sign.
+
+    Fewer saturations suffice (Hosten and Sturmfels, IPCO 1995).  The
+    support is walked in ascending order, keeping the saturated coordinates
+    whose columns are independent (spanning).  Before x_i is saturated,
+    when a_i lies in the span of the spanning columns, let u be the
+    primitive kernel vector of the columns spanning + [i] with u_i > 0.  If
+    its binomial x^{u+} - c x^{u-} (c nonzero) has normal form zero modulo
+    the current ideal K, under the order of the last saturation step (whose
+    quotients are a Groebner basis for it), x_i is skipped: K is saturated
+    in every spanning coordinate, so x_i f in K gives x^{u+} f in K, then
+    x^{u-} f in K and f in K.  That stays true as K grows, so at the end
+    every support coordinate is a nonzerodivisor and the ideal is the full
+    saturation.
+
+    The result is verified from the lex basis: homogeneous generators, each
+    vanishing along the parametrization, and Krull dimension (which
+    rejects the unit ideal) equal to the orbit dimension.
     """
     if p.ring != grading.ring:
         raise ValueError("point and grading live on different rings")
@@ -143,41 +166,62 @@ def orbit_closure_ideal(p: RationalPoint, grading: GradingMap) -> HomogeneousIde
     ring = grading.ring
     info = orbit_dimension(p, grading)
     support = info.support
-    gens: list[Polynomial] = []
-    if support:
-        rows = [[grading.columns[i][t] for i in support] for t in range(grading.m)]
-        kernel = intlinalg.integer_kernel(rows)
-        for u in kernel:
-            plus = [0] * ring.nvars
-            minus = [0] * ring.nvars
-            aplus = Fraction(1)
-            aminus = Fraction(1)
-            for pos, i in enumerate(support):
-                k = u[pos]
-                if k > 0:
-                    plus[i] = k
-                    aplus *= p.coords[i] ** k
-                elif k < 0:
-                    minus[i] = -k
-                    aminus *= p.coords[i] ** (-k)
-            gens.append(
-                ring.monomial(tuple(plus), aminus) - ring.monomial(tuple(minus), aplus)
-            )
-    pres = saturate(IdealPresentation(ring, gens), support, weights)
+    lattice = _column_kernel(grading, support)
+    pres = IdealPresentation(ring, [_binomial(p, support, u) for u in lattice])
+    spanning: list[int] = []
+    order = None  # the order of the last saturation step
+    for i in support:
+        # a positive grading leaves no column zero, so the first is independent
+        kernel = _column_kernel(grading, spanning + [i]) if spanning else []
+        if not kernel:
+            spanning.append(i)
+        else:
+            (u,) = kernel
+            if u[-1] < 0:
+                u = tuple(-k for k in u)
+            if not normal_form(_binomial(p, spanning + [i], u), pres.generators, order):
+                continue
+        pres = saturate(pres, [i], weights)
+        order = saturation_order(weights, i)
     off = [ring.variable(j) for j in range(ring.nvars) if j not in support]
     pres = ideal_sum(pres, IdealPresentation(ring, off))
 
     lex = TermOrder.lex()
-    reduced = pres.groebner(lex)
-    normalized = [lex.positive_leading(g.scaled_primitive()) for g in reduced.elements]
-    closure = homogeneous_ideal(normalized, grading)
-
-    for g in closure.base.generators:
+    if krull_dimension(pres, lex) != info.dimension:
+        raise ArithmeticError("closure dimension disagrees with the orbit dimension")
+    normalized = [lex.positive_leading(g.scaled_primitive()) for g in pres.groebner(lex).elements]
+    base = IdealPresentation(ring, normalized)
+    for g in base.generators:
         if torus_restriction(g, p, grading.degree):
             raise ArithmeticError("closure generator does not vanish on the orbit")
-    if krull_dimension(closure.base) != info.dimension:
-        raise ArithmeticError("closure dimension disagrees with the orbit dimension")
-    return closure
+    return HomogeneousIdeal(base=base, grading=grading, degrees=generator_degrees(base, grading))
+
+
+def _column_kernel(grading: GradingMap, coordinates) -> list[tuple[int, ...]]:
+    """Hermite basis of the integer relations among the named degree columns."""
+    rows = [[grading.columns[i][t] for i in coordinates] for t in range(grading.m)]
+    return intlinalg.integer_kernel(rows)
+
+
+def _binomial(p: RationalPoint, coordinates, u) -> Polynomial:
+    """p^{u-} x^{u+} - p^{u+} x^{u-}, u an integer vector over the coordinates.
+
+    It vanishes at p and, when u is a relation among the degree columns, on
+    p's whole orbit.
+    """
+    ring = p.ring
+    plus = [0] * ring.nvars
+    minus = [0] * ring.nvars
+    aplus = Fraction(1)
+    aminus = Fraction(1)
+    for i, k in zip(coordinates, u):
+        if k > 0:
+            plus[i] = k
+            aplus *= p.coords[i] ** k
+        elif k < 0:
+            minus[i] = -k
+            aminus *= p.coords[i] ** (-k)
+    return ring.monomial(tuple(plus), aminus) - ring.monomial(tuple(minus), aplus)
 
 
 @dataclass(frozen=True)
@@ -225,12 +269,20 @@ def low_orbit_stratum(grading: GradingMap, mu0: int) -> CoordinateSubspaceUnion:
 
 
 def nonvanishing_coordinates(cone: HomogeneousIdeal) -> tuple[int, ...]:
-    """Variables that do not vanish identically on the cone."""
+    """Variables that do not vanish identically on the cone.
+
+    When the coordinate point e_i lies on the cone, it witnesses that x_i
+    does not vanish there, and no basis is needed.  Otherwise x_i vanishes
+    identically exactly when a power of x_i lies in the ideal, that is when
+    the saturation by x_i is the unit ideal.
+    """
+    ring = cone.ring
     weights = cone.grading.require_positive().dots
     return tuple(
         i
-        for i in range(cone.ring.nvars)
-        if is_proper_homogeneous(saturate(cone.base, [i], weights))
+        for i in range(ring.nvars)
+        if _on_cone(_support_point(ring, (i,)), cone)
+        or is_proper_homogeneous(saturate(cone.base, [i], weights))
     )
 
 
@@ -270,7 +322,7 @@ def find_one_dim_orbit(cone: HomogeneousIdeal) -> RationalPoint:
     while queue:
         support = queue.pop(0)
         candidate = _support_point(ring, support)
-        if all(g.evaluate(candidate.coords) == 0 for g in cone.base.generators):
+        if _on_cone(candidate, cone):
             return candidate
         off = [ring.variable(j) for j in range(ring.nvars) if j not in support]
         restricted = ideal_sum(cone.base, IdealPresentation(ring, off))
@@ -303,6 +355,10 @@ def _support_point(ring: PolyRing, support, values: dict | None = None) -> Ratio
     return RationalPoint(ring, tuple(coords))
 
 
+def _on_cone(q: RationalPoint, cone: HomogeneousIdeal) -> bool:
+    return all(g.evaluate(q.coords) == 0 for g in cone.base.generators)
+
+
 FREE_VALUE_CANDIDATES = tuple(
     Fraction(v) for v in (1, -1, 2, -2, 3, -3, Fraction(1, 2), Fraction(-1, 2))
 )
@@ -312,9 +368,7 @@ def _assign(cone, pres, support, todo, values) -> RationalPoint | None:
     ring = cone.ring
     if not todo:
         candidate = _support_point(ring, support, values)
-        if all(g.evaluate(candidate.coords) == 0 for g in cone.base.generators):
-            return candidate
-        return None
+        return candidate if _on_cone(candidate, cone) else None
     i = todo[0]
     others = frozenset(k for k in range(ring.nvars) if k != i)
     uni = eliminate(pres, others)

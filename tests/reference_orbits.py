@@ -1,0 +1,161 @@
+"""Orbit closures by full saturation, kept as a reference.
+
+`orbits.orbit_closure_ideal` skips the saturation by a support coordinate
+when a binomial of the lattice already shows it to be a nonzerodivisor, and
+checks the closure from its lex basis; `orbits.nonvanishing_coordinates`
+takes a coordinate point on the cone as a witness instead of saturating.
+The references below saturate by every support coordinate, validate the
+closure through `homogeneous_ideal`, and saturate by every coordinate.
+`tests/test_orbits.py` runs `mismatches` on seeded documents: the closure
+generators, in order, and the tuples of non-vanishing coordinates must
+agree.  Every Groebner run is capped at PAIR_CAP pairs, so a document past
+the cap raises `ResourceLimitError` instead of running on.  Run this file
+directly to do the same check without pytest:
+
+    PYTHONPATH=src python3 tests/reference_orbits.py [count] [seed]
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+from gradedcones import intlinalg
+from gradedcones.cones import HomogeneousIdeal, homogeneous_ideal
+from gradedcones.grading import GradingMap
+from gradedcones.ideals import (
+    IdealPresentation,
+    ideal_sum,
+    is_proper_homogeneous,
+    krull_dimension,
+    saturate,
+)
+from gradedcones.orbits import (
+    RationalPoint,
+    nonvanishing_coordinates,
+    orbit_closure_ideal,
+    orbit_dimension,
+    point,
+    torus_restriction,
+)
+from gradedcones.orders import TermOrder
+from gradedcones.rings import PolyRing, Polynomial
+
+from helpers import random_homogeneous_generators
+from reference_singular import pair_cap
+
+PAIR_CAP = 5000  # Groebner pairs per run; the seeded documents need at most 3064
+
+
+def reference_orbit_closure_ideal(p: RationalPoint, grading: GradingMap) -> HomogeneousIdeal:
+    """The lattice basis ideal saturated by every support coordinate."""
+    weights = grading.require_positive().dots
+    ring = grading.ring
+    info = orbit_dimension(p, grading)
+    support = info.support
+    gens: list[Polynomial] = []
+    if support:
+        rows = [[grading.columns[i][t] for i in support] for t in range(grading.m)]
+        kernel = intlinalg.integer_kernel(rows)
+        for u in kernel:
+            plus = [0] * ring.nvars
+            minus = [0] * ring.nvars
+            aplus = Fraction(1)
+            aminus = Fraction(1)
+            for pos, i in enumerate(support):
+                k = u[pos]
+                if k > 0:
+                    plus[i] = k
+                    aplus *= p.coords[i] ** k
+                elif k < 0:
+                    minus[i] = -k
+                    aminus *= p.coords[i] ** (-k)
+            gens.append(
+                ring.monomial(tuple(plus), aminus) - ring.monomial(tuple(minus), aplus)
+            )
+    pres = saturate(IdealPresentation(ring, gens), support, weights)
+    off = [ring.variable(j) for j in range(ring.nvars) if j not in support]
+    pres = ideal_sum(pres, IdealPresentation(ring, off))
+
+    lex = TermOrder.lex()
+    reduced = pres.groebner(lex)
+    normalized = [lex.positive_leading(g.scaled_primitive()) for g in reduced.elements]
+    closure = homogeneous_ideal(normalized, grading)
+
+    for g in closure.base.generators:
+        if torus_restriction(g, p, grading.degree):
+            raise ArithmeticError("closure generator does not vanish on the orbit")
+    if krull_dimension(closure.base) != info.dimension:
+        raise ArithmeticError("closure dimension disagrees with the orbit dimension")
+    return closure
+
+
+def reference_nonvanishing_coordinates(cone: HomogeneousIdeal) -> tuple[int, ...]:
+    """Variables whose saturation of the cone's ideal is proper."""
+    weights = cone.grading.require_positive().dots
+    return tuple(
+        i
+        for i in range(cone.ring.nvars)
+        if is_proper_homogeneous(saturate(cone.base, [i], weights))
+    )
+
+
+# -- the comparison -------------------------------------------------------------
+
+
+def random_document(rng: random.Random) -> tuple[GradingMap, RationalPoint, HomogeneousIdeal]:
+    """A positive grading, a point and a cone in 2-7 variables.
+
+    The grading has 1-3 rows: the first row's entries are 1-3, which makes
+    it positive, and the other rows' are -2..2, so columns are often
+    dependent in small ways.  Each coordinate of the point is zero with
+    probability 1/4 and otherwise a small nonzero rational.  The cone holds
+    one to three homogeneous generators of total degree at most 3, each one
+    to three monomials of one degree, so both pure powers of a variable and
+    binomials through a coordinate point occur.
+    """
+    n = rng.randint(2, 7)
+    m = rng.randint(1, 3)
+    ring = PolyRing(tuple(f"y{i}" for i in range(1, n + 1)))
+    columns = [
+        (rng.randint(1, 3),) + tuple(rng.randint(-2, 2) for _ in range(m - 1)) for _ in range(n)
+    ]
+    grading = GradingMap(ring, columns)
+    coords = [0 if rng.randrange(4) == 0 else _rational(rng) for _ in range(n)]
+    cone = homogeneous_ideal(random_homogeneous_generators(rng, grading, 3, 3), grading)
+    return grading, point(ring, coords), cone
+
+
+def _rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 2))
+
+
+def mismatches(count: int, seed: int) -> list[str]:
+    """Descriptions of the documents on which a closure or a coordinate tuple differs."""
+    rng = random.Random(seed)
+    bad = []
+    with pair_cap(PAIR_CAP):
+        for _ in range(count):
+            grading, p, cone = random_document(rng)
+            ours = orbit_closure_ideal(p, grading)
+            theirs = reference_orbit_closure_ideal(p, grading)
+            if (ours.base.generators, ours.degrees) != (theirs.base.generators, theirs.degrees):
+                bad.append(f"closure of {p!r} under {grading.columns}: {ours!r} != {theirs!r}")
+            # the closure is a cone as well, one whose coordinate points often miss it
+            for c in (cone, theirs):
+                here, there = nonvanishing_coordinates(c), reference_nonvanishing_coordinates(c)
+                if here != there:
+                    bad.append(f"{c!r} under {grading.columns}: {here} != {there}")
+    return bad
+
+
+if __name__ == "__main__":
+    import sys
+
+    count = int(sys.argv[1]) if len(sys.argv) > 1 else 300
+    seed = int(sys.argv[2]) if len(sys.argv) > 2 else 20090129
+    bad = mismatches(count, seed)
+    print(f"{count} documents, seed {seed}: {len(bad)} mismatches")
+    for line in bad[:10]:
+        print(line)
+    sys.exit(1 if bad else 0)

@@ -436,14 +436,17 @@ def test_criterion_16_singular_locus_of_large_minors(capsys, tmp_path):
     ]
 
 
-def test_criterion_17_orbit_closure_in_a_300_variable_ring(capsys, tmp_path):
-    # a point with 5 nonzero coordinates in 300 variables: the 295 vanishing
-    # coordinates are lone-variable generators, which go straight into each
-    # reduced basis instead of through the pair loop (35 s before)
-    n = 300
-    support = (1, 7, 13, 19, 25)
+WIDE_SUPPORT = (1, 7, 13, 19, 25)  # the nonzero coordinates of the wide rings' point
+
+
+def wide_orbit_closure(capsys, tmp_path, n, number):
+    """orbit-closure through the CLI at a point with 5 nonzero coordinates in n variables.
+
+    The grading has two positive rows; returns the report and the names of
+    the vanishing coordinates.
+    """
     coords = ["0"] * n
-    for i, value in zip(support, ("1", "2", "-1", "1/2", "3")):
+    for i, value in zip(WIDE_SUPPORT, ("1", "2", "-1", "1/2", "3")):
         coords[i - 1] = value
     path = tmp_path / "doc.gc"
     path.write_text(
@@ -451,11 +454,18 @@ def test_criterion_17_orbit_closure_in_a_300_variable_ring(capsys, tmp_path):
         "grading [" + ",".join(f"[{1 + i % 5},{1 + i % 7}]" for i in range(n)) + "] ;\n"
         "point P = (" + ", ".join(coords) + ") ;\n"
     )
-    with criterion(17, "orbit closure in a 300-variable ring", 1.0):
+    with criterion(number, f"orbit closure in a {n}-variable ring", 1.0):
         code = main(["orbit-closure", "--point", "P", "--json", "--file", str(path)])
         result = json.loads(capsys.readouterr().out)["result"]
         assert code == 0
-    vanishing = [f"y{i}" for i in range(1, n + 1) if i not in support]
+    return result, [f"y{i}" for i in range(1, n + 1) if i not in WIDE_SUPPORT]
+
+
+def test_criterion_17_orbit_closure_in_a_300_variable_ring(capsys, tmp_path):
+    # a point with 5 nonzero coordinates in 300 variables: the 295 vanishing
+    # coordinates are lone-variable generators, which go straight into each
+    # reduced basis instead of through the pair loop (35 s before)
+    result, vanishing = wide_orbit_closure(capsys, tmp_path, 300, 17)
     generators = result["generators"]
     assert result["dimension"] == 2
     assert sorted(g for g in generators if g in vanishing) == sorted(vanishing)
@@ -465,3 +475,15 @@ def test_criterion_17_orbit_closure_in_a_300_variable_ring(capsys, tmp_path):
         "y7*y25 + 12*y13*y19",
         "y13*y25 + 12*y19^2",
     ]
+
+
+def test_criterion_18_orbit_closure_in_a_1000_variable_ring(capsys, tmp_path):
+    # every vanishing coordinate is a one-variable leading term, which the
+    # Krull dimension takes as a forced choice instead of one recursion
+    # level each (a RecursionError before)
+    result, vanishing = wide_orbit_closure(capsys, tmp_path, 1000, 18)
+    generators = result["generators"]
+    assert len(vanishing) == 995
+    assert result["dimension"] == 2
+    assert sorted(g for g in generators if g in vanishing) == sorted(vanishing)
+    assert len(generators) == 995 + 4

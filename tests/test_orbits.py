@@ -9,6 +9,7 @@ from math import gcd
 import pytest
 
 from gradedcones import intlinalg
+from gradedcones import orbits as orbits_module
 from gradedcones.cones import homogeneous_ideal, singular_locus
 from gradedcones.errors import (
     DependentColumnsError,
@@ -34,6 +35,7 @@ from gradedcones.orbits import (
 from gradedcones.orbits import _nonzero_rational_roots
 from gradedcones.rings import PolyRing, Polynomial
 
+import reference_orbits
 from helpers import random_rational, torus_scaled
 
 Y = PolyRing(("y1", "y2", "y3", "y4"))
@@ -203,6 +205,36 @@ def test_nonvanishing_and_max_dimension():
     line = homogeneous_ideal([Y.parse("y2"), Y.parse("y3"), Y.parse("y4")], G)
     assert nonvanishing_coordinates(line) == (0,)
     assert max_orbit_dimension(line) == 1
+
+
+def test_nonvanishing_saturates_when_the_coordinate_point_is_off_the_cone(monkeypatch):
+    # y1^2 - y2 y3 is 1 at e_1, yet y1 does not vanish on the cone, while
+    # adding y1 y2 makes y1 vanish on both components; e_2 and e_3 lie on
+    # both cones and need no saturation
+    r3 = PolyRing(("y1", "y2", "y3"))
+    g3 = GradingMap(r3, [(1,), (1,), (1,)])
+    saturated = []
+    real_saturate = orbits_module.saturate
+
+    def spy(a, variables, weights):
+        saturated.extend(variables)
+        return real_saturate(a, variables, weights)
+
+    monkeypatch.setattr(orbits_module, "saturate", spy)
+    cone = homogeneous_ideal([r3.parse("y1^2 - y2 y3")], g3)
+    assert nonvanishing_coordinates(cone) == (0, 1, 2)
+    assert saturated == [0]
+    saturated.clear()
+    cone = homogeneous_ideal([r3.parse("y1^2 - y2 y3"), r3.parse("y1 y2")], g3)
+    assert nonvanishing_coordinates(cone) == (1, 2)
+    assert saturated == [0]
+
+
+def test_orbit_closures_agree_with_the_full_saturation_reference():
+    # closures that skip saturations against the lattice basis ideal
+    # saturated by every support coordinate, and coordinate-point witnesses
+    # against one saturation per coordinate, on random cones and closures
+    assert reference_orbits.mismatches(300, seed=20090129) == []
 
 
 def test_find_one_dim_orbit_on_the_surface():
