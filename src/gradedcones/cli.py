@@ -10,8 +10,8 @@ Exit codes: 0 success, 1 mathematical rejection or resource cap, 2 parse
 error or command line usage error.
 
 The command line grammar is the `COMMANDS` table.  A plain command line is
-read from the table directly; argparse is built only for help and usage
-errors, which it words and prints.
+read from the table directly; argparse, always with every subcommand, is
+built only for help and usage errors, which it words and prints.
 """
 
 from __future__ import annotations
@@ -58,15 +58,12 @@ def main(argv=None) -> int:
 
     A plain command line is read from the table by `parse_plain`: building
     an argparse parser costs more than most commands take.  Only when that
-    declines is argparse built, for help and usage errors: the named
-    command's subparser alone, or the full parser for anything else (no
-    command, a leading option, an unknown name, top-level help).
+    declines is the full parser built, for help and usage errors.
     """
     argv = sys.argv[1:] if argv is None else argv
     args = parse_plain(argv)
     if args is None:
-        named = argv[:1] if argv[:1] and argv[0] in COMMANDS else COMMANDS
-        args = build_parser(named).parse_args(argv)
+        args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
         session = parse_session(_read_input(args))
@@ -194,14 +191,18 @@ def _need_grading(session: SessionInput) -> GradingMap:
     return session.grading
 
 
+def _ideal_name(session: SessionInput, args) -> str | None:
+    """The ideal named by --ideal, else the sole declared one, else None."""
+    name = session.sole_ideal_name() if args.ideal is None else args.ideal
+    if name is not None and name not in session.ideals:
+        raise Rejection(f"ideal {name!r} is not declared")
+    return name
+
+
 def _pick_ideal(session: SessionInput, args):
-    name = args.ideal
-    if name is None:
-        name = session.sole_ideal_name()
+    name = _ideal_name(session, args)
     if name is None:
         raise Rejection("no ideal selected: declare exactly one or pass --ideal")
-    if name not in session.ideals:
-        raise Rejection(f"ideal {name!r} is not declared")
     return name, session.ideals[name]
 
 
@@ -217,10 +218,9 @@ def _pick_point(session: SessionInput, args) -> tuple[str, RationalPoint]:
 
 
 def _pick_order(session: SessionInput, args) -> TermOrder:
-    name = getattr(args, "order", "degrevlex")
-    if name == "lex":
+    if args.order == "lex":
         return TermOrder.lex()
-    if name == "degrevlex":
+    if args.order == "degrevlex":
         return TermOrder.degrevlex()
     return _need_grading(session).induced_order()
 
@@ -303,10 +303,7 @@ def _cmd_embed(session, args) -> dict:
     kept = None
     if args.keep is not None:
         kept = _variable_indices(session, args.keep)
-    try:
-        emb = minimal_embedding(cone, kept=kept)
-    except ValueError as err:
-        raise Rejection(str(err)) from err
+    emb = minimal_embedding(cone, kept=kept)
     ring = cone.ring
     return {
         "ideal": name,
@@ -352,7 +349,7 @@ def _cmd_gb(session, args) -> dict:
     basis = IdealPresentation(ring, gens).groebner(order)
     return {
         "ideal": name,
-        "order": getattr(args, "order", "degrevlex"),
+        "order": args.order,
         "basis": [format_polynomial(g, order) for g in basis.elements],
     }
 
@@ -394,10 +391,7 @@ def _cmd_orbit_closure(session, args) -> dict:
 def _cmd_stratum_mu(session, args) -> dict:
     ring = _need_ring(session)
     grading = _need_grading(session)
-    try:
-        union = low_orbit_stratum(grading, args.mu)
-    except ValueError as err:
-        raise Rejection(str(err)) from err
+    union = low_orbit_stratum(grading, args.mu)
     return {
         "bound": union.bound,
         "components": [_names(ring, c) for c in union.components],
@@ -430,12 +424,8 @@ def _cmd_curve(session, args) -> dict:
         "ideal": None,
         "stays_on_cone": None,
     }
-    ideal_name = args.ideal
-    if ideal_name is None:
-        ideal_name = session.sole_ideal_name()
+    ideal_name = _ideal_name(session, args)
     if ideal_name is not None:
-        if ideal_name not in session.ideals:
-            raise Rejection(f"ideal {ideal_name!r} is not declared")
         cone = homogeneous_ideal(session.ideals[ideal_name], grading)
         out["ideal"] = ideal_name
         out["stays_on_cone"] = curve.stays_on(cone)
@@ -444,10 +434,7 @@ def _cmd_curve(session, args) -> dict:
 
 def _cmd_one_dim_orbit(session, args) -> dict:
     name, cone = _cone(session, args)
-    try:
-        p = find_one_dim_orbit(cone)
-    except ValueError as err:
-        raise Rejection(str(err)) from err
+    p = find_one_dim_orbit(cone)
     return {
         "ideal": name,
         "point": repr(p),
@@ -465,17 +452,14 @@ def _cmd_stratum(session, args) -> dict:
             raise Rejection(f"stratum needs a monomial ideal; {format_polynomial(g)} is not a monomial")
         exponents.append(next(iter(g.terms)))
     order = _pick_order(session, args)
-    try:
-        spec = MonomialIdealSpec(ring, tuple(exponents), order)
-    except ValueError as err:
-        raise Rejection(str(err)) from err
+    spec = MonomialIdealSpec(ring, tuple(exponents), order)
     result = compute_reduced_stratum(spec, args.mode)
     scheme = result.scheme
     cring = scheme.coefficient_ring
     emb = result.reduced
     return {
         "ideal": name,
-        "order": getattr(args, "order", "degrevlex"),
+        "order": args.order,
         "mode": args.mode,
         "heads": [format_monomial(ring, h) for h in scheme.heads],
         "coefficients": [
@@ -598,22 +582,15 @@ def parse_plain(argv) -> argparse.Namespace | None:
     return args
 
 
-def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
-    """The argument parser with a subparser for each of `names`.
-
-    Given fewer than every command, the subcommand metavar still lists them
-    all, so a usage line printed by the smaller parser is the full parser's.
-    The full parser keeps argparse's default, which its "required" and
-    "invalid choice" messages depend on.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, with a subparser for every command."""
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="Exact computations with multigraded ideals, cones, "
         "torus orbits, and Groebner strata.",
     )
-    metavar = None if len(names) == len(COMMANDS) else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in COMMANDS:
         _add_options(sub.add_parser(name, help=COMMANDS[name].help), name)
     return parser
 

@@ -33,6 +33,7 @@ from .ideals import IdealPresentation, is_proper_homogeneous, krull_dimension
 from .rings import Polynomial
 
 MINOR_LIMIT = 1000  # the most Jacobian minors singular_locus expands
+TAIL_LIMIT = 4000  # the most tail monomials strata.tail_scheme scans
 
 
 @dataclass(frozen=True)
@@ -177,8 +178,8 @@ def minimal_embedding(cone: HomogeneousIdeal, kept=None) -> EmbeddingResult:
     With kept omitted, the linear part's pivot variables are eliminated and
     the result is minimal: the embedded ideal has no linear part and the
     kept count equals the tangent-space dimension.  With kept given, the
-    kept variables plus the linear part must span all linear forms; the
-    complement is eliminated.
+    kept variables plus the linear part must span all linear forms (a
+    Rejection otherwise); the complement is eliminated.
     """
     ring = cone.ring
     n = ring.nvars
@@ -206,7 +207,7 @@ def minimal_embedding(cone: HomogeneousIdeal, kept=None) -> EmbeddingResult:
     pivots, rest = _gauss_jordan(cone.base.generators, eliminated)
     for p in eliminated:
         if p not in pivots:
-            raise ValueError(
+            raise Rejection(
                 f"kept set plus linear part does not span the linear forms; "
                 f"{ring.names[p]} is not covered"
             )

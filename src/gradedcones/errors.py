@@ -3,6 +3,15 @@
 Two families matter for the command line tool: parse failures (exit code 2)
 and mathematical rejections (exit code 1).  Everything else is a plain bug
 and is allowed to surface as an ordinary Python traceback.
+
+The library raises a `Rejection` where it refuses input; the command line
+translates nothing.  Plain `Rejection`s refuse a kept set that misses a
+variable (`cones.minimal_embedding`), a non-minimal monomial set
+(`strata.MonomialIdealSpec`), a negative orbit bound or more than 20
+variables (`orbits.low_orbit_stratum`), more than `cones.MINOR_LIMIT`
+minors, and more than `cones.TAIL_LIMIT` or infinitely many tails
+(`strata.tail_scheme`).  API misuse no document can produce stays a
+`ValueError`.
 """
 
 from __future__ import annotations

@@ -249,10 +249,10 @@ def low_orbit_stratum(grading: GradingMap, mu0: int) -> CoordinateSubspaceUnion:
     support (the origin alone) when there are none.
     """
     if mu0 < 0:
-        raise ValueError("the orbit-dimension bound must be nonnegative")
+        raise Rejection("the orbit-dimension bound must be nonnegative")
     n = grading.ring.nvars
     if n > 20:
-        raise ValueError("subset enumeration is limited to 20 variables")
+        raise Rejection("subset enumeration is limited to 20 variables")
     cols = [list(c) for c in grading.columns]
     if intlinalg.rank(cols) <= mu0:
         return CoordinateSubspaceUnion(bound=mu0, components=(tuple(range(n)),))

@@ -29,8 +29,9 @@ import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
-from .cones import EmbeddingResult, homogeneous_ideal, minimal_embedding
+from .cones import TAIL_LIMIT, EmbeddingResult, homogeneous_ideal, minimal_embedding
 from .errors import Rejection
 from .grading import GradingMap
 from .groebner import normal_form, s_polynomial
@@ -55,7 +56,7 @@ class MonomialIdealSpec:
                 raise ValueError(f"bad monomial exponent {e}")
         for a, b in combinations(gens, 2):
             if exp_divides(a, b) or exp_divides(b, a):
-                raise ValueError("generators are not a minimal generating set")
+                raise Rejection("generators are not a minimal generating set")
         if not self.order.is_well_order():
             raise ValueError("the monomial order must be a well order")
 
@@ -100,12 +101,16 @@ def tail_scheme(j: MonomialIdealSpec, mode: str = "homogeneous") -> TailScheme:
     A tail of the head x^alpha is a monomial outside J and below the head in
     the order; homogeneous mode keeps only tails of the same total degree.
     In full mode the tail set can be infinite (a variable with no pure power
-    in J and unbounded powers below the head), which is rejected.
+    in J and unbounded powers below the head), which is rejected, as is a
+    scan of more than TAIL_LIMIT monomials: counted before any is
+    enumerated in homogeneous mode, as the search finds them in full mode.
     """
     if mode not in ("homogeneous", "full"):
         raise ValueError(f"unknown tail mode {mode!r}")
     order = j.order
     heads = tuple(sorted(j.generators, key=order.key, reverse=True))
+    if mode == "homogeneous":
+        _check_tail_scan(sum(comb(sum(alpha) + j.ring.nvars - 1, sum(alpha)) for alpha in heads))
     tails = []
     for alpha in heads:
         if mode == "homogeneous":
@@ -115,7 +120,7 @@ def tail_scheme(j: MonomialIdealSpec, mode: str = "homogeneous") -> TailScheme:
                 if not j.contains(beta) and order.greater(alpha, beta)
             ]
         else:
-            found = _full_tails(j, alpha)
+            found = _full_tails(j, alpha, sum(map(len, tails)))
         tails.append(tuple(sorted(found, key=order.key, reverse=True)))
 
     pairs = tuple((h, beta) for h in range(len(heads)) for beta in tails[h])
@@ -158,8 +163,13 @@ def _same_degree_exponents(nvars: int, degree: int):
             yield (first,) + rest
 
 
-def _full_tails(j: MonomialIdealSpec, alpha: Exponent) -> list[Exponent]:
-    """All exponents outside J and below alpha; BFS over the divisor-closed set."""
+def _check_tail_scan(count: int) -> None:
+    if count > TAIL_LIMIT:
+        raise Rejection(f"the tail scan reaches {count} monomials, more than the limit of {TAIL_LIMIT}")
+
+
+def _full_tails(j: MonomialIdealSpec, alpha: Exponent, before: int) -> list[Exponent]:
+    """All exponents outside J and below alpha, by BFS; `before` counts toward TAIL_LIMIT."""
     order = j.order
     nvars = j.ring.nvars
     bound = _stabilizing_power(order, alpha)
@@ -181,6 +191,7 @@ def _full_tails(j: MonomialIdealSpec, alpha: Exponent) -> list[Exponent]:
     while queue:
         e = queue.pop()
         out.append(e)
+        _check_tail_scan(before + len(out))
         for i in range(nvars):
             child = exp_add(e, tuple(int(k == i) for k in range(nvars)))
             if child in seen or j.contains(child) or not order.greater(alpha, child):

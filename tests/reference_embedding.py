@@ -26,6 +26,7 @@ from gradedcones.cones import (
     linear_part,
     minimal_embedding,
 )
+from gradedcones.errors import Rejection
 from gradedcones.grading import GradingMap, PositivityWitness
 from gradedcones.orders import TermOrder
 from gradedcones.rings import PolyRing, Polynomial
@@ -181,11 +182,16 @@ def _check_span(lin: LinearPartBasis, kept_list, ring):
 # -- the comparison -------------------------------------------------------------
 
 
-def embedding_view(embed, cone, kept=None):
-    """Everything a report reads off an embedding, or the rejection message."""
+def embedding_view(embed, refusal, cone, kept=None):
+    """Everything a report reads off an embedding, or the message of its refusal.
+
+    refusal is the exception type embed refuses a kept set with: Rejection
+    for cones.minimal_embedding, ValueError for the reference.  Any other
+    exception escapes.
+    """
     try:
         emb = embed(cone, kept=kept)
-    except ValueError as err:
+    except refusal as err:
         return ("rejected", str(err))
     return (
         emb.kept,
@@ -279,8 +285,8 @@ def mismatches(count: int, seed: int) -> list[str]:
     for cone, kept in cases:
         if linear_part(cone) != reference_linear_part(cone):
             bad.append(f"linear part of {cone!r}")
-        ours = embedding_view(minimal_embedding, cone, kept)
-        theirs = embedding_view(reference_minimal_embedding, cone, kept)
+        ours = embedding_view(minimal_embedding, Rejection, cone, kept)
+        theirs = embedding_view(reference_minimal_embedding, ValueError, cone, kept)
         if ours != theirs:
             bad.append(f"{cone!r} kept={kept}: {ours} != {theirs}")
     return bad

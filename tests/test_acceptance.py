@@ -17,6 +17,7 @@ import pytest
 from gradedcones.cli import main
 from gradedcones.cones import (
     MINOR_LIMIT,
+    TAIL_LIMIT,
     homogeneous_ideal,
     linear_part,
     minimal_embedding,
@@ -487,3 +488,32 @@ def test_criterion_18_orbit_closure_in_a_1000_variable_ring(capsys, tmp_path):
     assert result["dimension"] == 2
     assert sorted(g for g in generators if g in vanishing) == sorted(vanishing)
     assert len(generators) == 995 + 4
+
+
+def test_criterion_19_stratum_past_the_tail_limit(capsys, tmp_path):
+    # a head of degree 1000 in ten variables has C(1009, 9) monomials of its
+    # degree, counted before any is enumerated; in full mode the search
+    # stops at the first tail past the limit
+    path = tmp_path / "doc.gc"
+    with criterion(19, "stratum past the tail limit", 1.0):
+        reports = []
+        for doc, mode in (
+            ("ring a b c d e f g h i j ; ideal J = a^1000 ;\n", "homogeneous"),
+            ("ring x y ; ideal J = x^70, y^70 ;\n", "full"),
+        ):
+            path.write_text(doc)
+            code = main(["stratum", "--mode", mode, "--json", "--file", str(path)])
+            reports.append(json.loads(capsys.readouterr().out))
+            assert code == 1
+    assert [r["diagnostics"] for r in reports] == [
+        {
+            "error": "Rejection",
+            "message": f"the tail scan reaches {comb(1009, 9)} monomials, "
+            f"more than the limit of {TAIL_LIMIT}",
+        },
+        {
+            "error": "Rejection",
+            "message": f"the tail scan reaches {TAIL_LIMIT + 1} monomials, "
+            f"more than the limit of {TAIL_LIMIT}",
+        },
+    ]

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from gradedcones import cli
 from gradedcones.cli import COMMANDS, SHARED_OPTIONS, build_parser, main, parse_plain
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -278,6 +279,22 @@ def test_invalid_arguments_are_rejections(run, argv, doc, message):
     assert message in report["diagnostics"]["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, target",
+    [(["one-dim-orbit"], "find_one_dim_orbit"), (["embed"], "minimal_embedding")],
+    ids=["one-dim-orbit", "embed"],
+)
+def test_an_exception_that_is_not_a_refusal_escapes_main(run, monkeypatch, argv, target):
+    # the library raises a Rejection where it refuses input; any other
+    # exception under a command is a bug, not a report with exit code 1
+    def fail(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, target, fail)
+    with pytest.raises(ValueError, match="^boom$"):
+        run(argv, doc=EXAMPLE)
+
+
 def test_parse_error_exit_two(run):
     code, out = run(["check", "--json"], doc="ring x\n")
     assert code == 2
@@ -397,8 +414,8 @@ def _exit(call, capsys):
 
 @pytest.mark.parametrize("argv", USAGE_CASES, ids=lambda argv: " ".join(argv) or "no-arguments")
 def test_help_and_usage_errors_match_the_full_parser(capsys, argv):
-    # main builds only the named command's subparser; what it prints and
-    # how it exits must not tell the two apart
+    # main leaves help and usage errors to argparse once parse_plain
+    # declines; what it prints and how it exits must be the parser's own
     expected = _exit(lambda: build_parser().parse_args(argv), capsys)
     assert _exit(lambda: main(argv), capsys) == expected
 

@@ -17,6 +17,7 @@ from gradedcones.errors import (
     ImproperIdealError,
     NonPositiveGradingError,
     NotHomogeneousError,
+    Rejection,
 )
 from gradedcones.grading import GradingMap
 from gradedcones.ideals import IdealPresentation, eliminate, krull_dimension
@@ -147,6 +148,9 @@ def test_embedding_with_explicit_kept_set():
         pass
     else:
         raise AssertionError("out-of-range kept index must be rejected")
+    # with z alone kept, the one linear form x + y covers x but not y
+    with pytest.raises(Rejection, match="does not span the linear forms; y is not covered$"):
+        minimal_embedding(cone, kept=[2])
 
 
 def test_embedding_regenerates_the_cone():

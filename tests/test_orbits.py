@@ -127,7 +127,7 @@ def test_low_orbit_stratum_goldens():
     assert low_orbit_stratum(FLAT, 1).components == ((1, 2, 3), (0,))
     try:
         low_orbit_stratum(G, -1)
-    except ValueError:
+    except Rejection:
         pass
     else:
         raise AssertionError("negative bound must be rejected")

@@ -37,7 +37,7 @@ def test_monomial_ideal_validation():
         raise AssertionError("negative exponents must be rejected")
     try:
         MonomialIdealSpec(R, ((1, 0), (2, 0)), LEX)
-    except ValueError:
+    except Rejection:
         pass
     else:
         raise AssertionError("x divides x^2, not minimal")
