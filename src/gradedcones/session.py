@@ -16,13 +16,22 @@ parentheses, so each term is one coefficient times one monomial and the
 reader fills the term dictionary directly.  Digits are the decimal digits
 of any script and a name starts with a letter or _.
 
-The reader scans the text once into parallel lists of token kinds, texts
-and start offsets and parses by index into them.  Every error carries a
-1-based line and column, computed from its offset only when it is raised.
-A punctuation text is one character no other token can spell (an INT is
-digits, an IDENT starts with a letter or _, EOF is empty), so comparing
-texts alone finds punctuation.  A rational, and the coefficient of a term,
-costs one Fraction, built from its integer numerator and denominator.
+The reader scans the text once, with one regular expression whose only
+group is the token text, into a list of texts ending with EOF's empty text
+(comment lines are texts too, and are dropped).  The kind of a token is a
+function of its text alone, so it is decided once per distinct text and
+mapped over the list; a text of no kind is a bad character, and the first
+one in the document is raised.  The parser steps by index through the two
+lists.  Start offsets are not kept: an error finds the offset of its token
+by running the same expression again up to that token, and only then turns
+it into a 1-based line and column.  A punctuation text is one character no
+other token can spell (an INT is digits, an IDENT starts with a letter or
+_, EOF is empty), so comparing texts alone finds punctuation.
+
+The grading's degree vectors and a point's coordinates are each read in
+one loop over the token lists.  A rational, and the coefficient of a term,
+costs one Fraction, built from its integer numerator and denominator; the
+coordinates of one document share one Fraction per distinct spelling.
 
 Rendering is the exact inverse: rationals print as p/q, terms are sorted by
 the active term order, descending.  parse(format(x)) == x.
@@ -34,6 +43,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress, islice
 from typing import NamedTuple
 
 from .errors import ParseFailure
@@ -51,50 +61,73 @@ class Token(NamedTuple):
     column: int
 
 
-# Each match is the blanks, line ends and whole comment lines it skips, then
-# PUNCT, INT, IDENT or BAD; all four are empty at EOF, which sits at the # of
-# a comment that ends the document.  \d is str.isdecimal and \w is
-# str.isalnum or _, but a name must start with a letter or _.
+_PUNCT = frozenset("-+*^/()[],;=")
+# Each match skips blanks and line ends, then captures one text: PUNCT, INT,
+# a \w run (an IDENT if it starts with a letter or _), another lone
+# character, a comment line, or nothing.  A # is left for the empty text
+# only by a comment that ends the document, so the empty text is EOF and
+# sits at that #; the matches after it are not tokens.  \d is str.isdecimal
+# and \w is str.isalnum or _.
 _TOKEN = re.compile(
-    r"([ \t\r\n]*(?:\#.*\n[ \t\r\n]*)*)"
-    r"(?:([-+*^/()\[\],;=])|(\d+)|(\w+)|(?:\#.*)?\Z|(.))"
+    r"[ \t\r\n]*([" + re.escape("".join(sorted(_PUNCT))) + r"]|\d+|\w+|[^#]|\#.*\n|)"
 )
 
 
-class _Cursor:
-    """One scan of a text, as parallel lists of token kinds, texts and start
-    offsets ending with EOF, and the index of the next token."""
+def _is_token(text: str) -> bool:
+    """Whether a captured text is a token, not a comment line."""
+    return text[:1] != "#"
 
-    __slots__ = ("text", "kinds", "texts", "starts", "pos")
+
+def _token_matches(text: str):
+    """The matches of _TOKEN that are tokens: comment lines, if the text has
+    any, left out."""
+    matches = _TOKEN.finditer(text)
+    if "#" in text:
+        return (match for match in matches if _is_token(match[1]))
+    return matches
+
+
+class _Cursor:
+    """One scan of a text, as parallel lists of token kinds and texts ending
+    with EOF, and the index of the next token.
+
+    The scan keeps texts only.  Kinds are decided once per distinct text; a
+    text of no kind is a bad token, and the first one in the document is
+    raised.  Offsets are found only by `fail`.
+    """
+
+    __slots__ = ("text", "kinds", "texts", "pos")
 
     def __init__(self, text: str):
         self.text, self.pos = text, 0
-        self.kinds, self.texts, self.starts = kinds, texts, starts = [], [], []
-        end = 0
-        for skipped, punct, integer, name, bad in _TOKEN.findall(text):
-            start = end + len(skipped)
-            if punct:
-                kind, token = "PUNCT", punct
-            elif integer:
-                kind, token = "INT", integer
-            elif name and (name[0].isalpha() or name[0] == "_"):
-                kind, token = "IDENT", name
-            elif name or bad:
-                raise self.fail(f"unexpected character {text[start]!r}", offset=start)
+        texts = _TOKEN.findall(text)
+        del texts[texts.index("") + 1 :]
+        if "#" in text:
+            texts = list(filter(_is_token, texts))
+        self.texts = texts
+        kind, bad = {}, []
+        for token in set(texts):
+            first = token[:1]
+            if first.isdecimal():
+                kind[token] = "INT"
+            elif first.isalpha() or first == "_":
+                kind[token] = "IDENT"
+            elif token in _PUNCT:
+                kind[token] = "PUNCT"
+            elif not token:
+                kind[token] = "EOF"
             else:
-                kind, token = "EOF", ""
-            kinds.append(kind)
-            texts.append(token)
-            starts.append(start)
-            if not token:
-                return
-            end = start + len(token)
+                bad.append(token)
+        if bad:
+            at = min(map(texts.index, bad))
+            raise self.fail(f"unexpected character {texts[at][0]!r}", at)
+        self.kinds = list(map(kind.__getitem__, texts))
 
-    def fail(self, reason: str, at: int | None = None, offset: int | None = None) -> ParseFailure:
-        """A ParseFailure at token `at` (by default the next one) or at a
-        character offset; only here are line and column computed."""
-        if offset is None:
-            offset = self.starts[self.pos if at is None else at]
+    def fail(self, reason: str, at: int | None = None) -> ParseFailure:
+        """A ParseFailure at token `at`, by default the next one; only here
+        are its offset, line and column computed, by scanning up to it."""
+        match = next(islice(_token_matches(self.text), self.pos if at is None else at, None))
+        offset = match.start(1)
         line = self.text.count("\n", 0, offset) + 1
         return ParseFailure(reason, line, offset - self.text.rfind("\n", 0, offset))
 
@@ -102,92 +135,75 @@ class _Cursor:
         """Step over the punctuation or the token kind `want`; return its index."""
         i = self.pos
         if (self.texts[i] if len(want) == 1 else self.kinds[i]) != want:
-            raise self.fail(f"expected {want!r}, found {self.texts[i] or 'EOF'!r}")
+            raise self.expected(want, i)
         self.pos = i + 1
         return i
+
+    def expected(self, want: str, at: int) -> ParseFailure:
+        """The ParseFailure of finding token `at` where `want` belongs."""
+        return self.fail(f"expected {want!r}, found {self.texts[at] or 'EOF'!r}", at)
 
 
 def tokenize(text: str) -> list[Token]:
     """The scan as Token tuples, each with its line and column."""
-    cur = _Cursor(text)
+    kinds = _Cursor(text).kinds
     line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
     tokens = []
-    for kind, token, start in zip(cur.kinds, cur.texts, cur.starts):
+    for kind, match in zip(kinds, _token_matches(text)):
+        start = match.start(1)
         line = bisect_right(line_starts, start)
-        tokens.append(Token(kind, token, line, start - line_starts[line - 1] + 1))
+        tokens.append(Token(kind, match[1], line, start - line_starts[line - 1] + 1))
     return tokens
-
-
-def _parse_list(cur: _Cursor, item, *args) -> list:
-    """item (',' item)*"""
-    out = [item(cur, *args)]
-    while cur.texts[cur.pos] == ",":
-        cur.pos += 1
-        out.append(item(cur, *args))
-    return out
 
 
 # -- polynomials ---------------------------------------------------------------
 
 
-def _parse_signs(cur: _Cursor, signs=("+", "-")) -> int:
-    """The product of a run of the given signs, possibly empty."""
+def _parse_signs(cur: _Cursor) -> int:
+    """The product of a run of + and - signs, possibly empty."""
     start = cur.pos
-    while cur.texts[cur.pos] in signs:
+    while cur.texts[cur.pos] in ("+", "-"):
         cur.pos += 1
     return -1 if cur.texts[start : cur.pos].count("-") % 2 else 1
 
 
-def _parse_int(cur: _Cursor, signs=("-",)) -> int:
-    """An integer after a run of the given signs, possibly empty."""
-    sign = _parse_signs(cur, signs) if cur.texts[cur.pos] in signs else 1
-    return sign * int(cur.texts[cur.expect("INT")])
-
-
-def _parse_fraction(cur: _Cursor, signs=()) -> tuple[int, int]:
-    """p or p/q after a run of the given signs, as the integers (+-p, q)."""
-    num = _parse_int(cur, signs)
-    if cur.texts[cur.pos] != "/":
-        return num, 1
-    at = cur.pos = cur.pos + 1
-    den = _parse_int(cur, ())
-    if den == 0:
-        raise cur.fail("zero denominator", at)
-    return num, den
-
-
-def _parse_rational(cur: _Cursor) -> Fraction:
-    num, den = _parse_fraction(cur, ("+", "-"))
-    return Fraction(num) if den == 1 else Fraction(num, den)
-
-
 def _parse_term(cur: _Cursor, ring: PolyRing, sign: int) -> tuple[Fraction, tuple[int, ...]]:
-    """Factors joined by * or juxtaposed, as (sign * coefficient, exponent)."""
+    """Factors p, p/q, x and x^k joined by * or juxtaposed, as
+    (sign * coefficient, exponent)."""
     kinds, texts = cur.kinds, cur.texts
     num, den = sign, 1
     exponent = [0] * ring.nvars
+    i = cur.pos
     while True:
-        i = cur.pos
         if kinds[i] == "INT":
-            p, q = _parse_fraction(cur)
-            num, den = num * p, den * q
+            num *= int(texts[i])
+            if texts[i + 1] == "/":
+                i += 2
+                if kinds[i] != "INT":
+                    raise cur.expected("INT", i)
+                q = int(texts[i])
+                if not q:
+                    raise cur.fail("zero denominator", i)
+                den *= q
         elif kinds[i] == "IDENT":
             idx = ring.index.get(texts[i])
             if idx is None:
-                raise cur.fail(f"unknown variable {texts[i]!r}")
+                raise cur.fail(f"unknown variable {texts[i]!r}", i)
             if texts[i + 1] == "^":
-                cur.pos = i + 2
-                exponent[idx] += _parse_int(cur, ())
+                i += 2
+                if kinds[i] != "INT":
+                    raise cur.expected("INT", i)
+                exponent[idx] += int(texts[i])
             else:
-                cur.pos = i + 1
                 exponent[idx] += 1
         else:
-            raise cur.fail(f"expected a term, found {texts[i] or 'EOF'!r}")
-        i = cur.pos
+            raise cur.fail(f"expected a term, found {texts[i] or 'EOF'!r}", i)
+        i += 1
         if texts[i] == "*":
-            cur.pos = i + 1
+            i += 1
         elif kinds[i] != "IDENT" and kinds[i] != "INT":
-            return Fraction(num, den), tuple(exponent)
+            cur.pos = i
+            return Fraction(num) if den == 1 else Fraction(num, den), tuple(exponent)
 
 
 def _parse_poly(cur: _Cursor, ring: PolyRing) -> Polynomial:
@@ -221,12 +237,12 @@ def format_rational(c: Fraction) -> str:
 
 
 def format_monomial(ring: PolyRing, exponent) -> str:
-    parts = []
-    for name, k in zip(ring.names, exponent):
-        if k == 1:
-            parts.append(name)
-        elif k > 1:
-            parts.append(f"{name}^{k}")
+    """x^k joined by *; the nonzero exponents and their names are selected at
+    C level, so a wide ring costs little per monomial."""
+    parts = [
+        name if k == 1 else f"{name}^{k}"
+        for name, k in zip(compress(ring.names, exponent), filter(None, exponent))
+    ]
     return "*".join(parts) if parts else "1"
 
 
@@ -275,11 +291,73 @@ class SessionInput:
         return None
 
 
-def _parse_int_vector(cur: _Cursor) -> tuple[int, ...]:
-    cur.expect("[")
-    out = tuple(_parse_list(cur, _parse_int))
-    cur.expect("]")
-    return out
+def _parse_columns(cur: _Cursor) -> list[tuple[int, ...]]:
+    """'[' int (',' int)* ']' (',' '[' ... ']')*, each int a run of - signs
+    then digits: the grading's degree vectors."""
+    kinds, texts = cur.kinds, cur.texts
+    i, columns = cur.pos, []
+    while True:
+        if texts[i] != "[":
+            raise cur.expected("[", i)
+        column = []
+        while True:
+            start = i = i + 1
+            while texts[i] == "-":
+                i += 1
+            if kinds[i] != "INT":
+                raise cur.expected("INT", i)
+            column.append(-int(texts[i]) if (i - start) % 2 else int(texts[i]))
+            i += 1
+            if texts[i] != ",":
+                break
+        if texts[i] != "]":
+            raise cur.expected("]", i)
+        columns.append(tuple(column))
+        i += 1
+        if texts[i] != ",":
+            cur.pos = i
+            return columns
+        i += 1
+
+
+def _parse_coordinates(cur: _Cursor, fractions: dict) -> list[Fraction]:
+    """rational (',' rational)*, each rational a run of + and - signs then
+    p or p/q.  `fractions` maps the spelling of each rational read so far,
+    its sign written as one - or none, to its Fraction: points repeat
+    spellings (zeros, one point copied into another), and a repeat then
+    costs neither int() nor a Fraction."""
+    kinds, texts = cur.kinds, cur.texts
+    i, coords = cur.pos, []
+    while True:
+        key = texts[i]
+        if kinds[i] != "INT":
+            start = i
+            while texts[i] == "-" or texts[i] == "+":
+                i += 1
+            if kinds[i] != "INT":
+                raise cur.expected("INT", i)
+            key = "-" + texts[i] if texts[start:i].count("-") % 2 else texts[i]
+        if texts[i + 1] == "/":
+            i += 2
+            if kinds[i] != "INT":
+                raise cur.expected("INT", i)
+            key = (key, texts[i])
+        c = fractions.get(key)
+        if c is None:
+            if type(key) is str:
+                c = Fraction(int(key))
+            else:
+                q = int(key[1])
+                if not q:
+                    raise cur.fail("zero denominator", i)
+                c = Fraction(int(key[0]), q)
+            fractions[key] = c
+        coords.append(c)
+        i += 1
+        if texts[i] != ",":
+            cur.pos = i
+            return coords
+        i += 1
 
 
 def _declared_name(cur: _Cursor, session: SessionInput, what: str) -> str:
@@ -296,6 +374,7 @@ def parse_session(text: str) -> SessionInput:
     cur = _Cursor(text)
     kinds, texts = cur.kinds, cur.texts
     session = SessionInput()
+    fractions: dict[str | tuple[str, str], Fraction] = {}
     while kinds[cur.pos] != "EOF":
         at = cur.expect("IDENT")
         keyword, ring = texts[at], session.ring
@@ -305,15 +384,16 @@ def parse_session(text: str) -> SessionInput:
             if ring is not None:
                 raise cur.fail("ring already declared", at)
             names: dict[str, None] = {}  # an ordered set: a duplicate is found in O(1)
-            while kinds[cur.pos] == "IDENT":
-                i = cur.pos
+            i = cur.pos
+            while kinds[i] == "IDENT":
                 name = texts[i]
                 if name in RESERVED:
                     raise cur.fail(f"{name!r} is a reserved word", i)
                 if name in names:
                     raise cur.fail(f"duplicate variable {name!r}", i)
                 names[name] = None
-                cur.pos = i + 2 if texts[i + 1] == "," else i + 1
+                i += 2 if texts[i + 1] == "," else 1
+            cur.pos = i
             if not names:
                 raise cur.fail("ring needs at least one variable")
             cur.expect(";")
@@ -322,7 +402,7 @@ def parse_session(text: str) -> SessionInput:
             if session.grading is not None:
                 raise cur.fail("grading already declared", at)
             opening = cur.expect("[")
-            columns = _parse_list(cur, _parse_int_vector)
+            columns = _parse_columns(cur)
             cur.expect("]")
             cur.expect(";")
             if len(columns) != ring.nvars:
@@ -336,14 +416,17 @@ def parse_session(text: str) -> SessionInput:
         elif keyword == "ideal":
             name = _declared_name(cur, session, "ideal")
             cur.expect("=")
-            gens = [] if texts[cur.pos] == ";" else _parse_list(cur, _parse_poly, ring)
+            gens = [] if texts[cur.pos] == ";" else [_parse_poly(cur, ring)]
+            while texts[cur.pos] == ",":
+                cur.pos += 1
+                gens.append(_parse_poly(cur, ring))
             cur.expect(";")
             session.ideals[name] = tuple(gens)
         elif keyword == "point":
             name = _declared_name(cur, session, "point")
             cur.expect("=")
             opening = cur.expect("(")
-            coords = _parse_list(cur, _parse_rational)
+            coords = _parse_coordinates(cur, fractions)
             cur.expect(")")
             cur.expect(";")
             if len(coords) != ring.nvars:

@@ -3,9 +3,11 @@
 `tests/test_session.py` runs `mismatches` on seeded strings: the tokens, or
 the ParseFailure message, line and column, and the parsed sessions and
 polynomials of the reference and of `gradedcones.session` must agree.
-Run this file directly to do the same check without pytest:
+It also runs `mismatches` on documents shaped like the benchmark's pool
+documents (`pool_document`).  Run this file directly to do the same check
+without pytest, on the `random` documents or the `pool` ones:
 
-    PYTHONPATH=src python3 tests/reference_reader.py [count] [seed]
+    PYTHONPATH=src python3 tests/reference_reader.py [count] [seed] [random|pool]
 """
 
 from __future__ import annotations
@@ -340,6 +342,80 @@ def random_document(rng: random.Random) -> str:
     return PREFIX + body if rng.random() < 0.5 else body
 
 
+# what a token edit may put in place of a token of a pool-shaped document
+EDITS = ("(", ")", "[", "]", ",", ";", "=", "/", "-", "+", "*", "^", "0", "3", "y1", "z", "point", "²", "#")
+# blanks between two tokens; between two names or numbers at least one blank
+BLANKS = (" ", " ", " ", "\n", "\r\n", "\t", " # note\n", "\n# note\n  ")
+
+
+def _number(rng: random.Random, signs: str, fraction: bool) -> list[str]:
+    """The tokens of a run of the given signs, then p or, if `fraction`, sometimes p/q."""
+    tokens = [rng.choice(signs) for _ in range(rng.choice((0, 0, 0, 1, 1, 2)) if signs else 0)]
+    tokens.append(rng.choice(("0", "0", "1", "2", "3", "7", "12", "007", "٣")))
+    if fraction and rng.random() < 0.3:
+        tokens += ["/", rng.choice(("1", "2", "3", "4", "10", "0" if rng.random() < 0.1 else "5"))]
+    return tokens
+
+
+def _pool_polynomial(rng: random.Random, names: list[str]) -> list[str]:
+    """The tokens of signed terms: an optional p or p/q, then powers of names."""
+    tokens = []
+    for k in range(rng.randint(1, 3)):
+        if k or rng.random() < 0.3:
+            tokens.append(rng.choice("+-"))
+        coefficient = rng.random() < 0.5
+        if coefficient:
+            tokens += _number(rng, "", True)
+        for f in range(rng.randint(1, 3)):
+            if (f or coefficient) and rng.random() < 0.5:
+                tokens.append("*")
+            tokens.append(rng.choice(names))
+            if rng.random() < 0.3:
+                tokens += ["^", str(rng.randint(0, 3))]
+    return tokens
+
+
+def pool_document(rng: random.Random) -> str:
+    """A document shaped like the benchmark's pool documents.
+
+    A ring, a grading with negative entries, an ideal and one to three
+    points whose coordinates are signed p or p/q.  Any two tokens may have
+    blanks, line ends or comment lines between them.  Half of the documents
+    then get one token dropped, duplicated or replaced.
+    """
+    n, m = rng.randint(2, 6), rng.randint(1, 3)
+    names = [f"y{i}" for i in range(1, n + 1)]
+    tokens = ["ring", *names, ";", "grading", "["]
+    for k in range(n):
+        tokens += [","] * bool(k) + ["["]
+        for t in range(m):
+            tokens += [","] * bool(t) + _number(rng, "-", False)
+        tokens.append("]")
+    tokens += ["]", ";", "ideal", "F", "="]
+    for k in range(rng.randint(1, 2)):
+        tokens += [","] * bool(k) + _pool_polynomial(rng, names)
+    tokens.append(";")
+    for name in "PQR"[: rng.randint(1, 3)]:
+        tokens += ["point", name, "=", "("]
+        for i in range(n):
+            tokens += [","] * bool(i) + _number(rng, "+-", True)
+        tokens += [")", ";"]
+    if rng.random() < 0.5:
+        k, edit = rng.randrange(len(tokens)), rng.randrange(3)
+        if edit == 0:
+            del tokens[k]
+        elif edit == 1:
+            tokens.insert(k, tokens[k])
+        else:
+            tokens[k] = rng.choice(EDITS)
+    text = tokens[0]
+    for before, token in zip(tokens, tokens[1:]):
+        words = before[-1].isalnum() and token[0].isalnum()
+        text += rng.choice(BLANKS) if words or rng.random() < 0.3 else ""
+        text += token
+    return text + rng.choice(("\n", "", " # end", "\n\n"))
+
+
 def _outcome(read, text):
     try:
         return ("ok", read(text))
@@ -385,15 +461,19 @@ CHECKS = (
 )
 
 
-def mismatches(count: int, seed: int) -> list[str]:
-    """The seeded documents on which the two readers disagree."""
+def mismatches(count: int, seed: int, document=random_document) -> list[str]:
+    """The seeded documents of the generator `document` on which the two
+    readers disagree."""
     rng = random.Random(seed)
     bad = []
     for _ in range(count):
-        text = random_document(rng)
+        text = document(rng)
         if any(_outcome(old, text) != _outcome(new, text) for old, new in CHECKS):
             bad.append(text)
     return bad
+
+
+GENERATORS = {"random": random_document, "pool": pool_document}
 
 
 def classes_differ() -> bool:
@@ -409,10 +489,11 @@ if __name__ == "__main__":
 
     count = int(sys.argv[1]) if len(sys.argv) > 1 else 3000
     seed = int(sys.argv[2]) if len(sys.argv) > 2 else 20090118
+    generator = sys.argv[3] if len(sys.argv) > 3 else "random"
     classes = classes_differ()
-    bad = mismatches(count, seed)
+    bad = mismatches(count, seed, GENERATORS[generator])
     print(f"Python {sys.version.split()[0]}: character classes", "differ" if classes else "agree")
-    print(f"{count} documents, seed {seed}: {len(bad)} mismatches")
+    print(f"{count} {generator} documents, seed {seed}: {len(bad)} mismatches")
     for text in bad[:10]:
         print(repr(text))
     sys.exit(1 if classes or bad else 0)

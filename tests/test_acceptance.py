@@ -517,3 +517,26 @@ def test_criterion_19_stratum_past_the_tail_limit(capsys, tmp_path):
             f"more than the limit of {TAIL_LIMIT}",
         },
     ]
+
+
+def test_criterion_20_long_grading_and_point():
+    # the degree vectors and the coordinates are each read in one loop, and
+    # an error's line and column come from one more scan up to its token:
+    # neither may cost a pass over the document per entry
+    n = 50_000
+    text = (
+        "ring " + " ".join(f"v{i}" for i in range(n)) + " ;\n"
+        "grading [" + ",".join(f"[{1 + i % 3},-{i % 5}]" for i in range(n)) + "] ;\n"
+        "point P = (" + ", ".join(f"{i % 7}/{1 + i % 4}" for i in range(n)) + ") ;\n"
+    )
+    with criterion(20, "grading and point of 50000 entries", 1.0):
+        session = parse_session(text)
+        assert session.grading.columns[-1] == (1 + (n - 1) % 3, -((n - 1) % 5))
+        assert session.points["P"][-1] == Fraction((n - 1) % 7, 1 + (n - 1) % 4)
+    head, tail = text.rsplit("/", 1)
+    bad = f"{head}/0) ;\n"
+    with criterion(20, "zero denominator in the 50000th coordinate", 1.0):
+        with pytest.raises(ParseFailure) as info:
+            parse_session(bad)
+        assert info.value.reason == "zero denominator"
+        assert (info.value.line, info.value.column) == (3, len(head) + 1 - head.rindex("\n"))

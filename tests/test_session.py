@@ -56,6 +56,13 @@ def test_reader_matches_the_character_loop_reader():
     assert reference_reader.mismatches(3000, seed=20090118) == []
 
 
+def test_reader_matches_the_character_loop_reader_on_pool_documents():
+    # signed p and p/q coordinates, negative degree entries and one token
+    # edit in half of the documents
+    pool = reference_reader.pool_document
+    assert reference_reader.mismatches(1000, seed=20090118, document=pool) == []
+
+
 def test_parse_full_session():
     s = parse_session(EXAMPLE)
     assert s.ring.names == ("y1", "y2", "y3", "y4")
