@@ -5,17 +5,20 @@ the character given by degree column i.  The orbit of a rational point is
 parametrized by substituting y_i -> a_i t^{column_i}; its dimension is the
 lattice rank of the support columns, and its closure is cut out by binomials
 coming from the integer kernel of the support columns (saturated by the
-support coordinates) plus the vanishing coordinates.  A support coordinate
-is saturated only when no binomial of a column relation, already in the
-ideal, shows it to be a nonzerodivisor, and the closure is checked from
-its lex basis alone.
+support coordinates) plus the vanishing coordinates.  The binomial part is
+computed in the ring of the support's variables alone, so a closure costs
+what its support costs, whatever the width of the ring.  A support
+coordinate is saturated only when no binomial of a column relation, already
+in the ideal, shows it to be a nonzerodivisor, and the closure is checked
+from its lex basis alone.
 
 Also here: the union of coordinate subspaces where the orbit dimension is
 at most a bound (the flats of that rank in the column matroid), the
-largest orbit dimension on a cone (a coordinate point on the cone
-witnesses a non-vanishing coordinate without a saturation), a rational
-search for one-dimensional orbits, cross-section charts, and the rational
-curves that witness every point's connection to the origin.
+largest orbit dimension on a cone (a coordinate point on the cone, read
+from the generators' coefficients, witnesses a non-vanishing coordinate
+without a saturation), a rational search for one-dimensional orbits,
+cross-section charts, and the rational curves that witness every point's
+connection to the origin.
 """
 
 from __future__ import annotations
@@ -136,12 +139,23 @@ def orbit_contained(p: RationalPoint, cone: HomogeneousIdeal) -> bool:
 def orbit_closure_ideal(p: RationalPoint, grading: GradingMap) -> HomogeneousIdeal:
     """The ideal of the closure of the orbit through p.
 
-    Binomials from an integer kernel basis of the support columns,
-    saturated by the support coordinates, plus the vanishing coordinates
-    (the lattice basis ideal saturated to the toric ideal: Eisenbud and
-    Sturmfels, Duke Math. J. 84, 1996).  Generators are the reduced lex
-    basis, normalized to content-free integer coefficients with a positive
-    leading sign.
+    With S the support of p, the closure is I_S + (x_j : j not in S), where
+    I_S, the toric part, lives in the variables of S alone: binomials from
+    an integer kernel basis of the support columns, saturated by the
+    support coordinates (the lattice basis ideal saturated to the toric
+    ideal: Eisenbud and Sturmfels, Duke Math. J. 84, 1996).  Generators are
+    the reduced lex basis, normalized to content-free integer coefficients
+    with a positive leading sign.
+
+    I_S is computed in the support's subring, under grading.restrict(S)
+    and the positivity weights of S: lex and the saturation orders,
+    restricted to monomials in S, are the same orders there, and reduced
+    bases are unique, so its reduced lex basis lifted back (exponents
+    scattered into the positions of S) is the full ring's.  Each vanishing
+    x_j is coprime to every lead of I_S, so the reduced basis of the closure
+    is the lifted basis with every x_j merged in by descending lex lead:
+    x_j comes before a lead exactly when j precedes the lead's first
+    variable.
 
     Fewer saturations suffice (Hosten and Sturmfels, IPCO 1995).  The
     support is walked in ascending order, keeping the saturated coordinates
@@ -156,45 +170,68 @@ def orbit_closure_ideal(p: RationalPoint, grading: GradingMap) -> HomogeneousIde
     every support coordinate is a nonzerodivisor and the ideal is the full
     saturation.
 
-    The result is verified from the lex basis: homogeneous generators, each
-    vanishing along the parametrization, and Krull dimension (which
-    rejects the unit ideal) equal to the orbit dimension.
+    I_S is verified from its lex basis: homogeneous generators, each
+    vanishing along the parametrization, and Krull dimension (which rejects
+    the unit ideal) equal to the orbit dimension, which is the closure's
+    dimension too.  The x_j are monic, of degree column j, and vanish at p.
     """
     if p.ring != grading.ring:
         raise ValueError("point and grading live on different rings")
-    weights = grading.require_positive().dots
+    dots = grading.require_positive().dots
     ring = grading.ring
-    info = orbit_dimension(p, grading)
-    support = info.support
-    lattice = _column_kernel(grading, support)
-    pres = IdealPresentation(ring, [_binomial(p, support, u) for u in lattice])
+    support = p.support()
+    local = grading.restrict(support)
+    q = RationalPoint(local.ring, tuple(p.coords[i] for i in support))
+    weights = tuple(dots[i] for i in support)
+    coordinates = range(len(support))  # the support's positions in the subring
+    lattice = _column_kernel(local, coordinates)
+    pres = IdealPresentation(local.ring, [_binomial(q, coordinates, u) for u in lattice])
     spanning: list[int] = []
     order = None  # the order of the last saturation step
-    for i in support:
+    for i in coordinates:
         # a positive grading leaves no column zero, so the first is independent
-        kernel = _column_kernel(grading, spanning + [i]) if spanning else []
+        kernel = _column_kernel(local, spanning + [i]) if spanning else []
         if not kernel:
             spanning.append(i)
         else:
             (u,) = kernel
             if u[-1] < 0:
                 u = tuple(-k for k in u)
-            if not normal_form(_binomial(p, spanning + [i], u), pres.generators, order):
+            if not normal_form(_binomial(q, spanning + [i], u), pres.generators, order):
                 continue
         pres = saturate(pres, [i], weights)
         order = saturation_order(weights, i)
-    off = [ring.variable(j) for j in range(ring.nvars) if j not in support]
-    pres = ideal_sum(pres, IdealPresentation(ring, off))
 
     lex = TermOrder.lex()
-    if krull_dimension(pres, lex) != info.dimension:
+    # the orbit dimension, by rank-nullity from the full kernel of the support columns
+    if krull_dimension(pres, lex) != len(support) - len(lattice):
         raise ArithmeticError("closure dimension disagrees with the orbit dimension")
-    normalized = [lex.positive_leading(g.scaled_primitive()) for g in pres.groebner(lex).elements]
-    base = IdealPresentation(ring, normalized)
-    for g in base.generators:
-        if torus_restriction(g, p, grading.degree):
+    gb = pres.groebner(lex)
+    toric = IdealPresentation(
+        local.ring, [lex.positive_leading(g.scaled_primitive()) for g in gb.elements]
+    )
+    for g in toric.generators:
+        if torus_restriction(g, q, local.degree):
             raise ArithmeticError("closure generator does not vanish on the orbit")
-    return HomogeneousIdeal(base=base, grading=grading, degrees=generator_degrees(base, grading))
+    n = ring.nvars
+    rows = []  # (first variable of the lead, generator, degree)
+    for g, degree, lead in zip(toric.generators, generator_degrees(toric, local), gb.leads):
+        terms = {}
+        for e, c in g.terms.items():
+            lifted = [0] * n
+            for i, k in zip(support, e):
+                lifted[i] = k
+            terms[tuple(lifted)] = c
+        first = next(i for i, k in zip(support, lead) if k)
+        rows.append((first, Polynomial(ring, terms), degree))
+    kept = set(support)
+    rows += [(j, ring.variable(j), grading.columns[j]) for j in range(n) if j not in kept]
+    rows.sort(key=lambda row: row[0])
+    return HomogeneousIdeal(
+        base=IdealPresentation(ring, [g for _, g, _ in rows]),
+        grading=grading,
+        degrees=tuple(d for _, _, d in rows),
+    )
 
 
 def _column_kernel(grading: GradingMap, coordinates) -> list[tuple[int, ...]]:
@@ -272,17 +309,18 @@ def nonvanishing_coordinates(cone: HomogeneousIdeal) -> tuple[int, ...]:
     """Variables that do not vanish identically on the cone.
 
     When the coordinate point e_i lies on the cone, it witnesses that x_i
-    does not vanish there, and no basis is needed.  Otherwise x_i vanishes
-    identically exactly when a power of x_i lies in the ideal, that is when
-    the saturation by x_i is the unit ideal.
+    does not vanish there, and no basis is needed.  It is read from the
+    coefficients, without evaluating: e_i lies on the cone when, in every
+    generator, the terms that are pure powers of x_i (or constants) have
+    coefficients summing to zero.  Otherwise x_i vanishes identically
+    exactly when a power of x_i lies in the ideal, that is when the
+    saturation by x_i is the unit ideal.
     """
-    ring = cone.ring
     weights = cone.grading.require_positive().dots
     return tuple(
         i
-        for i in range(ring.nvars)
-        if _on_cone(_support_point(ring, (i,)), cone)
-        or is_proper_homogeneous(saturate(cone.base, [i], weights))
+        for i in range(cone.ring.nvars)
+        if _on_ones(cone, (i,)) or is_proper_homogeneous(saturate(cone.base, [i], weights))
     )
 
 
@@ -321,9 +359,8 @@ def find_one_dim_orbit(cone: HomogeneousIdeal) -> RationalPoint:
     systems: list[IdealPresentation] = []
     while queue:
         support = queue.pop(0)
-        candidate = _support_point(ring, support)
-        if _on_cone(candidate, cone):
-            return candidate
+        if _on_ones(cone, support):
+            return _support_point(ring, support)
         off = [ring.variable(j) for j in range(ring.nvars) if j not in support]
         restricted = ideal_sum(cone.base, IdealPresentation(ring, off))
         saturated = saturate(restricted, support, weights)
@@ -357,6 +394,21 @@ def _support_point(ring: PolyRing, support, values: dict | None = None) -> Ratio
 
 def _on_cone(q: RationalPoint, cone: HomogeneousIdeal) -> bool:
     return all(g.evaluate(q.coords) == 0 for g in cone.base.generators)
+
+
+def _vanishes_at_ones(g: Polynomial, support) -> bool:
+    """Whether g vanishes at the point with ones on the support and zeros elsewhere.
+
+    A term is 1 there when its variables all lie in the support, that is
+    when its degree in them is its total degree, and 0 otherwise; so g
+    vanishes exactly when the coefficients of those terms sum to zero.
+    """
+    return not sum(c for e, c in g.terms.items() if sum(e) == sum(e[i] for i in support))
+
+
+def _on_ones(cone: HomogeneousIdeal, support) -> bool:
+    """Whether the point with ones on the support and zeros elsewhere lies on the cone."""
+    return all(_vanishes_at_ones(g, support) for g in cone.base.generators)
 
 
 FREE_VALUE_CANDIDATES = tuple(

@@ -52,7 +52,12 @@ def exp_total(a: Exponent) -> int:
 
 
 def exact(c) -> Fraction:
-    """Coerce to Fraction, refusing floats: this library is exact only."""
+    """Coerce to Fraction, refusing floats: this library is exact only.
+
+    A Fraction is returned as it is; Fractions are immutable.
+    """
+    if type(c) is Fraction:
+        return c
     if isinstance(c, float):
         raise TypeError("floating point values are not accepted; pass a Fraction")
     return Fraction(c)

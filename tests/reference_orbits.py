@@ -1,18 +1,23 @@
 """Orbit closures by full saturation, kept as a reference.
 
-`orbits.orbit_closure_ideal` skips the saturation by a support coordinate
-when a binomial of the lattice already shows it to be a nonzerodivisor, and
-checks the closure from its lex basis; `orbits.nonvanishing_coordinates`
-takes a coordinate point on the cone as a witness instead of saturating.
-The references below saturate by every support coordinate, validate the
-closure through `homogeneous_ideal`, and saturate by every coordinate.
+`orbits.orbit_closure_ideal` works in the ring of the support's variables,
+skips the saturation by a support coordinate when a binomial of the lattice
+already shows it to be a nonzerodivisor, and checks the closure from its
+lex basis; `orbits.nonvanishing_coordinates` takes a coordinate point on
+the cone, read from coefficients, as a witness instead of saturating.  The
+references below work in the full ring, saturate by every support
+coordinate, validate the closure through `homogeneous_ideal`, and saturate
+by every coordinate.
 `tests/test_orbits.py` runs `mismatches` on seeded documents: the closure
-generators, in order, and the tuples of non-vanishing coordinates must
-agree.  Every Groebner run is capped at PAIR_CAP pairs, so a document past
-the cap raises `ResourceLimitError` instead of running on.  Run this file
-directly to do the same check without pytest:
+generators, in order, their degrees, and the tuples of non-vanishing
+coordinates must agree.  It does so on small random documents
+(`random_document`) and on documents shaped like the benchmark's orbits
+pool (`pool_document`), whose points vanish in at least half of their
+coordinates.  Every Groebner run is capped at PAIR_CAP pairs, so a document
+past the cap raises `ResourceLimitError` instead of running on.  Run this
+file directly to do the same check without pytest:
 
-    PYTHONPATH=src python3 tests/reference_orbits.py [count] [seed]
+    PYTHONPATH=src python3 tests/reference_orbits.py [count] [seed] [random|pool]
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from gradedcones.orbits import (
 from gradedcones.orders import TermOrder
 from gradedcones.rings import PolyRing, Polynomial
 
-from helpers import random_homogeneous_generators
+from helpers import exponents_up_to, random_homogeneous_generators
 from reference_singular import pair_cap
 
 PAIR_CAP = 5000  # Groebner pairs per run; the seeded documents need at most 3064
@@ -130,13 +135,60 @@ def _rational(rng: random.Random) -> Fraction:
     return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 2))
 
 
-def mismatches(count: int, seed: int) -> list[str]:
-    """Descriptions of the documents on which a closure or a coordinate tuple differs."""
+POOL_COORDINATES = tuple(Fraction(v) for v in (1, -1, 2, -2, "1/2", 3))
+
+
+def pool_document(rng: random.Random) -> tuple[GradingMap, RationalPoint, HomogeneousIdeal]:
+    """A document shaped like the benchmark's orbits pool, in 8-16 variables.
+
+    The grading has 2-3 rows of entries 0..3, each column nonzero, so it is
+    positive.  The point is zero in at least half of its coordinates, as
+    the pool's points Q, R and S are, and its others are small rationals.
+    The cone holds one or two binomials: a monomial of total degree 2 minus
+    a multiple of another monomial of its degree and of total degree 2 or
+    3, when there is one.
+    """
+    n = rng.randint(8, 16)
+    m = rng.randint(2, 3)
+    ring = PolyRing(tuple(f"y{i}" for i in range(1, n + 1)))
+    columns = []
+    for _ in range(n):
+        column = [rng.randint(0, 3) for _ in range(m)]
+        if not any(column):
+            column[rng.randrange(m)] = 1
+        columns.append(column)
+    grading = GradingMap(ring, columns)
+    quadrics = []
+    by_degree: dict = {}
+    for e in exponents_up_to(n, 3):
+        if sum(e) >= 2:
+            by_degree.setdefault(grading.degree(e), []).append(e)
+            if sum(e) == 2:
+                quadrics.append(e)
+    generators = []
+    for _ in range(rng.randint(1, 2)):
+        a = rng.choice(quadrics)
+        terms = {a: Fraction(1)}
+        mates = [e for e in by_degree[grading.degree(a)] if e != a]
+        if mates:
+            terms[rng.choice(mates)] = -rng.choice(POOL_COORDINATES)
+        generators.append(Polynomial(ring, terms))
+    support = set(rng.sample(range(n), k=rng.randint(1, n // 2)))
+    coords = [rng.choice(POOL_COORDINATES) if i in support else 0 for i in range(n)]
+    return grading, point(ring, coords), homogeneous_ideal(generators, grading)
+
+
+GENERATORS = {"random": random_document, "pool": pool_document}
+
+
+def mismatches(count: int, seed: int, document=random_document) -> list[str]:
+    """Descriptions of the seeded documents of the generator `document` on
+    which a closure, its degrees or a coordinate tuple differs."""
     rng = random.Random(seed)
     bad = []
     with pair_cap(PAIR_CAP):
         for _ in range(count):
-            grading, p, cone = random_document(rng)
+            grading, p, cone = document(rng)
             ours = orbit_closure_ideal(p, grading)
             theirs = reference_orbit_closure_ideal(p, grading)
             if (ours.base.generators, ours.degrees) != (theirs.base.generators, theirs.degrees):
@@ -154,8 +206,9 @@ if __name__ == "__main__":
 
     count = int(sys.argv[1]) if len(sys.argv) > 1 else 300
     seed = int(sys.argv[2]) if len(sys.argv) > 2 else 20090129
-    bad = mismatches(count, seed)
-    print(f"{count} documents, seed {seed}: {len(bad)} mismatches")
+    generator = sys.argv[3] if len(sys.argv) > 3 else "random"
+    bad = mismatches(count, seed, GENERATORS[generator])
+    print(f"{count} {generator} documents, seed {seed}: {len(bad)} mismatches")
     for line in bad[:10]:
         print(line)
     sys.exit(1 if bad else 0)

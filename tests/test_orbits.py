@@ -32,7 +32,7 @@ from gradedcones.orbits import (
     rational_curve_through,
     torus_restriction,
 )
-from gradedcones.orbits import _nonzero_rational_roots
+from gradedcones.orbits import _nonzero_rational_roots, _vanishes_at_ones
 from gradedcones.rings import PolyRing, Polynomial
 
 import reference_orbits
@@ -230,11 +230,46 @@ def test_nonvanishing_saturates_when_the_coordinate_point_is_off_the_cone(monkey
     assert saturated == [0]
 
 
+def test_coefficient_sums_decide_the_coordinate_points():
+    # g vanishes at the point with ones on S and zeros elsewhere exactly
+    # when its terms inside S have coefficients summing to zero; summing
+    # every term instead, which evaluates at the all-ones point, disagrees
+    # with evaluation on some of these draws
+    rng = random.Random(20090133)
+    outcomes = set()
+    all_terms_wrong = 0
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        ring = PolyRing(tuple(f"y{i}" for i in range(1, n + 1)))
+        g = Polynomial(
+            ring,
+            {
+                tuple(rng.randint(0, 2) for _ in range(n)): Fraction(rng.choice((-2, -1, 1, 2)))
+                for _ in range(rng.randint(1, 4))
+            },
+        )
+        drawn = tuple(sorted(rng.sample(range(n), k=rng.randint(1, n))))
+        for support in ((), tuple(range(n)), drawn):
+            vanishes = g.evaluate([int(i in support) for i in range(n)]) == 0
+            assert _vanishes_at_ones(g, support) == vanishes, (g, support)
+            outcomes.add(vanishes)
+            all_terms_wrong += (not sum(g.terms.values())) != vanishes
+    assert outcomes == {True, False}
+    assert all_terms_wrong > 0
+
+
 def test_orbit_closures_agree_with_the_full_saturation_reference():
     # closures that skip saturations against the lattice basis ideal
     # saturated by every support coordinate, and coordinate-point witnesses
     # against one saturation per coordinate, on random cones and closures
     assert reference_orbits.mismatches(300, seed=20090129) == []
+
+
+def test_orbit_closures_agree_with_the_reference_on_pool_shaped_documents():
+    # 8-16 variables and points zero in at least half their coordinates, so
+    # the closure's toric part lives in few of the ring's variables
+    document = reference_orbits.pool_document
+    assert reference_orbits.mismatches(60, seed=20090131, document=document) == []
 
 
 def test_find_one_dim_orbit_on_the_surface():
