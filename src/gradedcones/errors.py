@@ -74,14 +74,12 @@ class NoRationalPointError(Rejection):
     """A one-dimensional orbit exists over the algebraic closure but no
     rational representative was found.
 
-    supports lists the qualifying coordinate supports; systems the saturated
-    restricted ideals that resisted the rational search.
+    supports lists the qualifying coordinate supports.
     """
 
-    def __init__(self, message: str, supports=(), systems=()):
+    def __init__(self, message: str, supports=()):
         super().__init__(message)
         self.supports = tuple(supports)
-        self.systems = tuple(systems)
 
 
 class ResourceLimitError(GradedConesError):

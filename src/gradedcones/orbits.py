@@ -18,7 +18,10 @@ largest orbit dimension on a cone (a coordinate point on the cone, read
 from the generators' coefficients, witnesses a non-vanishing coordinate
 without a saturation), a rational search for one-dimensional orbits,
 cross-section charts, and the rational curves that witness every point's
-connection to the origin.
+connection to the origin.  The search, too, works on each support in the
+ring of its variables: the cone restricted there is a cone of its own, and
+each value the search fixes is substituted, so every level of the search
+runs in one variable fewer.
 """
 
 from __future__ import annotations
@@ -341,11 +344,15 @@ def find_one_dim_orbit(cone: HomogeneousIdeal) -> RationalPoint:
     """A rational point of the cone whose orbit is one-dimensional.
 
     Candidate supports of column rank one are tried in lexicographic order,
-    maximal ones first, recursing into subsets; on each support the
-    coordinates are solved one at a time through univariate eliminations
-    and rational root extraction.  If qualifying supports exist but none
-    yields a rational point, the failure reports them instead of inventing
-    an irrational one.
+    maximal ones first, recursing into subsets.  The point with ones on the
+    support is tried first, from the generators' coefficients.  Otherwise
+    the search runs in the support's subring: the generators restricted to
+    it (every other coordinate set to zero) are saturated by its variables,
+    under the positivity weights of the support, and the coordinates are
+    solved one at a time (`_assign`).  The point found is lifted back with
+    zeros off the support.  If qualifying supports exist but none yields a
+    rational point, the failure reports them instead of inventing an
+    irrational one.
     """
     if krull_dimension(cone.base) < 1:
         raise Rejection("the cone is just the origin; no positive-dimensional orbit")
@@ -356,20 +363,22 @@ def find_one_dim_orbit(cone: HomogeneousIdeal) -> RationalPoint:
     queue = sorted(s for s in stratum.components if s)
     seen = set(queue)
     unsolved: list[tuple[int, ...]] = []
-    systems: list[IdealPresentation] = []
     while queue:
         support = queue.pop(0)
         if _on_ones(cone, support):
-            return _support_point(ring, support)
-        off = [ring.variable(j) for j in range(ring.nvars) if j not in support]
-        restricted = ideal_sum(cone.base, IdealPresentation(ring, off))
-        saturated = saturate(restricted, support, weights)
+            return _support_point(ring, support, (Fraction(1),) * len(support))
+        local = ring.subring(support)
+        images = [local.zero()] * ring.nvars
+        for k, i in enumerate(support):
+            images[i] = local.variable(k)
+        restricted = [g.substitute(local, images) for g in cone.base.generators]
+        system = IdealPresentation(local, restricted)
+        saturated = saturate(system, range(len(support)), [weights[i] for i in support])
         if is_proper_homogeneous(saturated):
-            found = _assign(cone, saturated, support, list(support), {})
-            if found is not None:
-                return found
+            values = _assign(system, saturated, ())
+            if values is not None:
+                return _support_point(ring, support, values)
             unsolved.append(support)
-            systems.append(saturated)
         for sub in combinations(support, len(support) - 1):
             if sub and sub not in seen:
                 seen.add(sub)
@@ -380,20 +389,15 @@ def find_one_dim_orbit(cone: HomogeneousIdeal) -> RationalPoint:
             "one-dimensional orbits exist but none has a rational representative "
             f"on supports {[tuple(ring.names[i] for i in s) for s in unsolved]}",
             supports=unsolved,
-            systems=systems,
         )
     raise ArithmeticError("positive-dimensional cone without a qualifying support")
 
 
-def _support_point(ring: PolyRing, support, values: dict | None = None) -> RationalPoint:
+def _support_point(ring: PolyRing, support, values) -> RationalPoint:
     coords = [Fraction(0)] * ring.nvars
-    for i in support:
-        coords[i] = Fraction(1) if values is None else values[i]
+    for i, c in zip(support, values):
+        coords[i] = c
     return RationalPoint(ring, tuple(coords))
-
-
-def _on_cone(q: RationalPoint, cone: HomogeneousIdeal) -> bool:
-    return all(g.evaluate(q.coords) == 0 for g in cone.base.generators)
 
 
 def _vanishes_at_ones(g: Polynomial, support) -> bool:
@@ -416,21 +420,34 @@ FREE_VALUE_CANDIDATES = tuple(
 )
 
 
-def _assign(cone, pres, support, todo, values) -> RationalPoint | None:
-    ring = cone.ring
-    if not todo:
-        candidate = _support_point(ring, support, values)
-        return candidate if _on_cone(candidate, cone) else None
-    i = todo[0]
-    others = frozenset(k for k in range(ring.nvars) if k != i)
-    uni = eliminate(pres, others)
-    if uni.generators:
-        roots = _nonzero_rational_roots(uni.generators[0], i)
+def _assign(system: IdealPresentation, pres: IdealPresentation, values: tuple) -> tuple | None:
+    """Nonzero rational values that extend `values` to a zero of system, or None.
+
+    system lives in the support's subring, and pres is its saturation with
+    `values` substituted for the leading variables, so pres lives in the
+    ring of the variables still to solve.  The first of them takes the
+    nonzero rational roots of the monic generator of pres's univariate
+    elimination ideal, or, when that ideal is zero, FREE_VALUE_CANDIDATES.
+    When no generator of pres contains it, pres is a cylinder over its axis
+    and every value leads to the same search, so only the first candidate
+    is tried, which the search would have tried first anyway.  Each value is substituted into pres, and the next level runs
+    in one variable fewer.  A full assignment is checked against system.
+    """
+    ring = pres.ring
+    if not ring.nvars:
+        return values if all(g.evaluate(values) == 0 for g in system.generators) else None
+    if any(e[0] for g in pres.generators for e in g.terms):
+        # a reduced basis, since an empty block leaves pres as it is
+        uni = eliminate(pres, range(1, ring.nvars)).groebner(TermOrder.lex()).elements
+        roots = _nonzero_rational_roots(uni[0], 0) if uni else FREE_VALUE_CANDIDATES
     else:
-        roots = list(FREE_VALUE_CANDIDATES)
+        roots = FREE_VALUE_CANDIDATES[:1]
+    rest = ring.subring(range(1, ring.nvars))
+    images = [None] + [rest.variable(k) for k in range(rest.nvars)]
     for c in roots:
-        tighter = ideal_sum(pres, IdealPresentation(ring, [ring.variable(i) - ring.constant(c)]))
-        found = _assign(cone, tighter, support, todo[1:], {**values, i: c})
+        images[0] = rest.constant(c)
+        tighter = IdealPresentation(rest, [g.substitute(rest, images) for g in pres.generators])
+        found = _assign(system, tighter, values + (c,))
         if found is not None:
             return found
     return None

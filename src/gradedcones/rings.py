@@ -83,7 +83,7 @@ class PolyRing:
         return len(self.names)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PolyRing) and self.names == other.names
+        return self is other or (isinstance(other, PolyRing) and self.names == other.names)
 
     def __hash__(self) -> int:
         return hash(self.names)

@@ -1,4 +1,4 @@
-"""Orbit closures by full saturation, kept as a reference.
+"""Orbit closures by full saturation and the full-ring orbit search, kept as references.
 
 `orbits.orbit_closure_ideal` works in the ring of the support's variables,
 skips the saturation by a support coordinate when a binomial of the lattice
@@ -7,36 +7,48 @@ lex basis; `orbits.nonvanishing_coordinates` takes a coordinate point on
 the cone, read from coefficients, as a witness instead of saturating.  The
 references below work in the full ring, saturate by every support
 coordinate, validate the closure through `homogeneous_ideal`, and saturate
-by every coordinate.
+by every coordinate.  `orbits.find_one_dim_orbit` searches each support in
+the ring of its variables and substitutes every value it fixes; the
+reference search adds the vanishing coordinates and each fixed value
+x_i - c as generators and eliminates in all the ring's variables.
 `tests/test_orbits.py` runs `mismatches` on seeded documents: the closure
 generators, in order, their degrees, and the tuples of non-vanishing
-coordinates must agree.  It does so on small random documents
-(`random_document`) and on documents shaped like the benchmark's orbits
-pool (`pool_document`), whose points vanish in at least half of their
-coordinates.  Every Groebner run is capped at PAIR_CAP pairs, so a document
+coordinates must agree.  It runs `one_dim_mismatches` too: the point found
+on the document's cone, or the error's type and supports, must agree.  Both
+run on small random documents (`random_document`) and on documents shaped
+like the benchmark's orbits pool (`pool_document`), whose points vanish in
+at least half of their coordinates.  Every Groebner run is capped at PAIR_CAP pairs, so a document
 past the cap raises `ResourceLimitError` instead of running on.  Run this
-file directly to do the same check without pytest:
+file directly to do the same checks without pytest:
 
-    PYTHONPATH=src python3 tests/reference_orbits.py [count] [seed] [random|pool]
+    PYTHONPATH=src python3 tests/reference_orbits.py [count] [seed] [random|pool] [closure|one-dim]
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from gradedcones import intlinalg
 from gradedcones.cones import HomogeneousIdeal, homogeneous_ideal
+from gradedcones.errors import GradedConesError, NoRationalPointError, Rejection
 from gradedcones.grading import GradingMap
 from gradedcones.ideals import (
     IdealPresentation,
+    eliminate,
     ideal_sum,
     is_proper_homogeneous,
     krull_dimension,
     saturate,
 )
 from gradedcones.orbits import (
+    FREE_VALUE_CANDIDATES,
     RationalPoint,
+    _nonzero_rational_roots,
+    _on_ones,
+    find_one_dim_orbit,
+    low_orbit_stratum,
     nonvanishing_coordinates,
     orbit_closure_ideal,
     orbit_dimension,
@@ -103,6 +115,75 @@ def reference_nonvanishing_coordinates(cone: HomogeneousIdeal) -> tuple[int, ...
         for i in range(cone.ring.nvars)
         if is_proper_homogeneous(saturate(cone.base, [i], weights))
     )
+
+
+def reference_find_one_dim_orbit(cone: HomogeneousIdeal) -> RationalPoint:
+    """The search in the full ring: each support's system is the cone plus
+    the vanishing coordinates, and each fixed value joins it as x_i - c."""
+    if krull_dimension(cone.base) < 1:
+        raise Rejection("the cone is just the origin; no positive-dimensional orbit")
+    grading = cone.grading
+    ring = cone.ring
+    weights = grading.require_positive().dots
+    stratum = low_orbit_stratum(grading, 1)
+    queue = sorted(s for s in stratum.components if s)
+    seen = set(queue)
+    unsolved: list[tuple[int, ...]] = []
+    while queue:
+        support = queue.pop(0)
+        if _on_ones(cone, support):
+            return _support_point(ring, support)
+        off = [ring.variable(j) for j in range(ring.nvars) if j not in support]
+        restricted = ideal_sum(cone.base, IdealPresentation(ring, off))
+        saturated = saturate(restricted, support, weights)
+        if is_proper_homogeneous(saturated):
+            found = _assign(cone, saturated, support, list(support), {})
+            if found is not None:
+                return found
+            unsolved.append(support)
+        for sub in combinations(support, len(support) - 1):
+            if sub and sub not in seen:
+                seen.add(sub)
+                queue.append(sub)
+        queue.sort()
+    if unsolved:
+        raise NoRationalPointError(
+            "one-dimensional orbits exist but none has a rational representative "
+            f"on supports {[tuple(ring.names[i] for i in s) for s in unsolved]}",
+            supports=unsolved,
+        )
+    raise ArithmeticError("positive-dimensional cone without a qualifying support")
+
+
+def _support_point(ring: PolyRing, support, values: dict | None = None) -> RationalPoint:
+    coords = [Fraction(0)] * ring.nvars
+    for i in support:
+        coords[i] = Fraction(1) if values is None else values[i]
+    return RationalPoint(ring, tuple(coords))
+
+
+def _on_cone(q: RationalPoint, cone: HomogeneousIdeal) -> bool:
+    return all(g.evaluate(q.coords) == 0 for g in cone.base.generators)
+
+
+def _assign(cone, pres, support, todo, values) -> RationalPoint | None:
+    ring = cone.ring
+    if not todo:
+        candidate = _support_point(ring, support, values)
+        return candidate if _on_cone(candidate, cone) else None
+    i = todo[0]
+    others = frozenset(k for k in range(ring.nvars) if k != i)
+    uni = eliminate(pres, others)
+    if uni.generators:
+        roots = _nonzero_rational_roots(uni.generators[0], i)
+    else:
+        roots = list(FREE_VALUE_CANDIDATES)
+    for c in roots:
+        tighter = ideal_sum(pres, IdealPresentation(ring, [ring.variable(i) - ring.constant(c)]))
+        found = _assign(cone, tighter, support, todo[1:], {**values, i: c})
+        if found is not None:
+            return found
+    return None
 
 
 # -- the comparison -------------------------------------------------------------
@@ -201,14 +282,41 @@ def mismatches(count: int, seed: int, document=random_document) -> list[str]:
     return bad
 
 
+def one_dim_outcome(search, cone: HomogeneousIdeal) -> str:
+    """The point that search finds on the cone, or the error's type and supports."""
+    try:
+        return repr(search(cone))
+    except GradedConesError as err:
+        return f"{type(err).__name__} {getattr(err, 'supports', None)}"
+
+
+def one_dim_mismatches(count: int, seed: int, document=random_document) -> list[str]:
+    """Descriptions of the seeded documents of the generator `document` on
+    whose cone the search and the full-ring search disagree."""
+    rng = random.Random(seed)
+    bad = []
+    with pair_cap(PAIR_CAP):
+        for _ in range(count):
+            grading, _, cone = document(rng)
+            ours = one_dim_outcome(find_one_dim_orbit, cone)
+            theirs = one_dim_outcome(reference_find_one_dim_orbit, cone)
+            if ours != theirs:
+                bad.append(f"{cone!r} under {grading.columns}: {ours} != {theirs}")
+    return bad
+
+
+CHECKS = {"closure": mismatches, "one-dim": one_dim_mismatches}
+
+
 if __name__ == "__main__":
     import sys
 
     count = int(sys.argv[1]) if len(sys.argv) > 1 else 300
     seed = int(sys.argv[2]) if len(sys.argv) > 2 else 20090129
     generator = sys.argv[3] if len(sys.argv) > 3 else "random"
-    bad = mismatches(count, seed, GENERATORS[generator])
-    print(f"{count} {generator} documents, seed {seed}: {len(bad)} mismatches")
+    check = sys.argv[4] if len(sys.argv) > 4 else "closure"
+    bad = CHECKS[check](count, seed, GENERATORS[generator])
+    print(f"{count} {generator} documents, seed {seed}, {check}: {len(bad)} mismatches")
     for line in bad[:10]:
         print(line)
     sys.exit(1 if bad else 0)

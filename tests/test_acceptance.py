@@ -557,3 +557,21 @@ def test_criterion_21_orbit_closure_in_a_4000_variable_ring(capsys, tmp_path):
     assert result["generators"] == [
         g for i in range(1, 4001) for g in (toric.get(i, []) if i in WIDE_SUPPORT else [f"y{i}"])
     ]
+
+
+def test_criterion_22_one_dim_orbit_over_free_coordinates(capsys, tmp_path):
+    # y1, y2, y4, y5 and y6 occur in no equation, so each is fixed at the
+    # first free value alone; trying all eight values at each of the six
+    # coordinates before y7, which -4/3 y3^2 = y7^2 makes irrational, ran
+    # 299593 eliminations (211 s before, on a 2-core x86-64 machine)
+    path = tmp_path / "doc.gc"
+    path.write_text(
+        "ring y1 y2 y3 y4 y5 y6 y7 ; grading [[2],[3],[3],[3],[1],[1],[3]] ;\n"
+        "ideal F = -4/3 y3^3 - y3 y7^2 ;\n"
+    )
+    with criterion(22, "one-dimensional orbit over free coordinates", 1.0):
+        code = main(["one-dim-orbit", "--json", "--file", str(path)])
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert code == 0
+    assert result["point"] == "(1, 1, 0, 0, 0, 0, 0)"
+    assert result["support"] == ["y1", "y2"]

@@ -8,6 +8,7 @@ from math import gcd
 
 import pytest
 
+from gradedcones import ideals as ideals_module
 from gradedcones import intlinalg
 from gradedcones import orbits as orbits_module
 from gradedcones.cones import homogeneous_ideal, singular_locus
@@ -270,6 +271,43 @@ def test_orbit_closures_agree_with_the_reference_on_pool_shaped_documents():
     # the closure's toric part lives in few of the ring's variables
     document = reference_orbits.pool_document
     assert reference_orbits.mismatches(60, seed=20090131, document=document) == []
+
+
+def test_one_dim_orbits_agree_with_the_full_ring_search():
+    # the search in each support's subring, substituting every fixed value,
+    # against the search that adds them as generators in the full ring; the
+    # seed is one whose reference runs stay short, since the reference
+    # backtracks exponentially over coordinates that occur in no equation
+    assert reference_orbits.one_dim_mismatches(300, seed=20090138) == []
+    document = reference_orbits.pool_document
+    assert reference_orbits.one_dim_mismatches(60, seed=20090134, document=document) == []
+
+
+def test_one_dim_orbit_search_runs_in_the_support_rings(monkeypatch):
+    # every Groebner run of the search lies in the variables of one
+    # qualifying support, here {y1, y2} or a single coordinate, never in
+    # all six of the ring's
+    ring = PolyRing(tuple(f"y{i}" for i in range(1, 7)))
+    grading = GradingMap(ring, [(1, 0), (1, 0), (0, 1), (1, 1), (1, 2), (2, 1)])
+    cone = homogeneous_ideal([ring.parse("y1^2 - 2 y2^2")], grading)
+    # the search's dimension check reads the cone's own basis, in all six
+    # variables; it is computed before the spy
+    krull_dimension(cone.base)
+    supports = [
+        {ring.names[i] for i in s} for s in low_orbit_stratum(grading, 1).components
+    ]
+    runs = []
+    real_buchberger = ideals_module.buchberger
+
+    def spy(generators, order, *, ring=None):
+        gb = real_buchberger(generators, order, ring=ring)
+        runs.append(gb.ring.names)
+        return gb
+
+    monkeypatch.setattr(ideals_module, "buchberger", spy)
+    p = find_one_dim_orbit(cone)
+    assert p.coords == (0, 0, 1, 0, 0, 0)
+    assert runs and all(any(set(names) <= s for s in supports) for names in runs), runs
 
 
 def test_find_one_dim_orbit_on_the_surface():
