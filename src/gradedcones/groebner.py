@@ -40,6 +40,15 @@ If what is left is the unit ideal, the basis is {1} alone.  An orbit
 closure's vanishing coordinates are such generators; placed, they skip
 the pair update, the reducer search and the interreduction.
 
+A second loop, binomial_basis, computes the reduced basis of an ideal of
+pure binomials x^a - x^b on exponent pairs (a, b) alone: S-polynomials and
+remainders of pure binomials are pure binomials or zero (Eisenbud and
+Sturmfels, Duke Math. J. 84, 1996, Prop. 1.1), so no coefficient is ever
+computed (as in GRIN: Hosten and Sturmfels, IPCO 1995).  It takes the same
+steps buchberger takes on the same binomials as polynomials.  Both loops
+share one Gebauer-Moeller update and pair selection, _PairQueue, which
+reads leading exponents only and runs once per element that joins.
+
 The number of processed pairs is capped to keep runaway inputs from hanging
 a session; the cap is read from the environment (see DEFAULT_PAIR_LIMIT).
 """
@@ -168,6 +177,74 @@ class GroebnerBasis:
         return len(self.elements) == 1 and self.elements[0].is_constant() and not self.elements[0].is_zero()
 
 
+class _PairQueue:
+    """The Gebauer-Moeller update and the normal selection strategy.
+
+    Both pair loops, `buchberger` on polynomials and `binomial_basis` on
+    exponent pairs, keep their elements in lists indexed like `leads`,
+    call `add` once for each element that joins and take the next pair from
+    `pop`.  The bookkeeping reads leading exponents only.
+    """
+
+    __slots__ = ("order", "cap", "leads", "active", "live", "heap", "processed")
+
+    def __init__(self, order: TermOrder):
+        self.order = order
+        self.cap = pair_limit()
+        self.leads: list[Exponent] = []
+        self.active: list[int] = []  # G: the elements no later leading term divides
+        # queued pairs not deleted yet, with their lcms
+        self.live: dict[tuple[int, int], Exponent] = {}
+        self.heap: list = []  # (lcm key, i, j); deleted pairs are skipped when popped
+        self.processed = 0
+
+    def add(self, h: Exponent) -> None:
+        """The update for a new element with leading exponent h."""
+        leads, live = self.leads, self.live
+        k = len(leads)
+        leads.append(h)
+        # a queued pair whose lcm h divides is redundant, unless the lcm
+        # equals the lcm of one of its sides with h
+        for (i, j), lcm in list(live.items()):
+            if exp_divides(h, lcm) and lcm != exp_lcm(leads[i], h) and lcm != exp_lcm(leads[j], h):
+                del live[i, j]
+        # new pairs with G by ascending lcm degree, so a proper divisor of an
+        # lcm comes before it, and coprime ones first among equal lcms; a pair
+        # goes when an earlier kept lcm divides its lcm, and coprime pairs are
+        # kept only to delete others this way
+        new = []
+        for i in self.active:
+            lcm = exp_lcm(leads[i], h)
+            new.append((sum(lcm), lcm != exp_add(leads[i], h), i, lcm))
+        new.sort()
+        kept: list[Exponent] = []
+        for _, useful, i, lcm in new:
+            if any(exp_divides(m, lcm) for m in kept):
+                continue
+            kept.append(lcm)
+            if useful:
+                heapq.heappush(self.heap, (self.order.key(lcm), i, k))
+                live[i, k] = lcm
+        self.active = [i for i in self.active if not exp_divides(h, leads[i])]
+        self.active.append(k)
+
+    def pop(self) -> tuple[int, int] | None:
+        """The next pair to process, or None when none is left.
+
+        Raises ResourceLimitError once more pairs than the cap are processed.
+        """
+        heap, live = self.heap, self.live
+        while heap:
+            _, i, j = heapq.heappop(heap)
+            if live.pop((i, j), None) is None:
+                continue
+            self.processed += 1
+            if self.processed > self.cap:
+                raise ResourceLimitError(self.processed, len(live), len(self.leads), self.cap)
+            return i, j
+        return None
+
+
 def buchberger(
     generators,
     order: TermOrder,
@@ -183,61 +260,25 @@ def buchberger(
             raise ValueError("empty generator list needs an explicit ring")
         return GroebnerBasis(ring, order, (), (), {"pairs_processed": 0, "basis_size": 0})
     ring = gens[0].ring
-    cap = pair_limit()
+    pairs = _PairQueue(order)
     placed, gens = _place_lone_variables(ring, gens)
 
-    basis: list[Polynomial] = []
-    leads: list[Exponent] = []
-    active: list[int] = []  # G: the elements no later leading term divides
-    live: dict[tuple[int, int], Exponent] = {}  # queued pairs not deleted yet, with their lcms
-    heap: list = []  # (lcm key, i, j); deleted pairs are skipped when popped
+    basis: list[Polynomial] = []  # monic, indexed like pairs.leads
+    leads = pairs.leads
     reducers: list[Polynomial] = []  # the elements of G, and their leads
     reducer_leads: list[Exponent] = []
 
     def add(g: Polynomial) -> None:
-        # the Gebauer-Moeller update for the new element g, made monic
-        k = len(basis)
         h = order.leading_exponent(g)
         basis.append(g * (1 / g.terms[h]))
-        leads.append(h)
-        # a queued pair whose lcm h divides is redundant, unless the lcm
-        # equals the lcm of one of its sides with h
-        for (i, j), lcm in list(live.items()):
-            if exp_divides(h, lcm) and lcm != exp_lcm(leads[i], h) and lcm != exp_lcm(leads[j], h):
-                del live[i, j]
-        # new pairs with G by ascending lcm degree, so a proper divisor of an
-        # lcm comes before it, and coprime ones first among equal lcms; a pair
-        # goes when an earlier kept lcm divides its lcm, and coprime pairs are
-        # kept only to delete others this way
-        new = []
-        for i in active:
-            lcm = exp_lcm(leads[i], h)
-            new.append((sum(lcm), lcm != exp_add(leads[i], h), i, lcm))
-        new.sort()
-        kept: list[Exponent] = []
-        for _, useful, i, lcm in new:
-            if any(exp_divides(m, lcm) for m in kept):
-                continue
-            kept.append(lcm)
-            if useful:
-                heapq.heappush(heap, (order.key(lcm), i, k))
-                live[i, k] = lcm
-        active[:] = [i for i in active if not exp_divides(h, leads[i])]
-        active.append(k)
-        reducers[:] = [basis[i] for i in active]
-        reducer_leads[:] = [leads[i] for i in active]
+        pairs.add(h)
+        reducers[:] = [basis[i] for i in pairs.active]
+        reducer_leads[:] = [leads[i] for i in pairs.active]
 
     for g in gens:
         add(g)
-
-    processed = 0
-    while heap:
-        _, i, j = heapq.heappop(heap)
-        if live.pop((i, j), None) is None:
-            continue
-        processed += 1
-        if processed > cap:
-            raise ResourceLimitError(processed, len(live), len(basis), cap)
+    while (pair := pairs.pop()) is not None:
+        i, j = pair
         s = s_polynomial(basis[i], basis[j], order, (leads[i], leads[j]))
         r = normal_form(s, reducers, order, reducer_leads)
         if not r.is_zero():
@@ -253,8 +294,105 @@ def buchberger(
         )
         element_leads = tuple(le for le, _ in merged)
         elements = tuple(g for _, g in merged)
-    stats = {"pairs_processed": processed, "basis_size": len(elements)}
+    stats = {"pairs_processed": pairs.processed, "basis_size": len(elements)}
     return GroebnerBasis(ring, order, elements, element_leads, stats)
+
+
+def binomial_normal_form(pair: tuple[Exponent, Exponent], basis, order: TermOrder):
+    """The remainder of x^a - x^b, (a, b) = pair, under division by basis.
+
+    basis holds (lead, tail) pairs, each x^lead - x^tail with lead greater
+    than tail under order.  The steps are normal_form's: the greater term
+    is reduced while the lead of some element divides it, by the first such
+    element, and then the lesser one, each step replacing a monomial m by
+    m - lead + tail.  A pure binomial stays one, or two equal monomials
+    cancel (Eisenbud and Sturmfels, Duke Math. J. 84, 1996, Prop. 1.1).
+    Returns the remainder as a (lead, tail) pair, whatever the sign the
+    division leaves on it, or None when it is zero.
+    """
+    key = order.key
+    c, d = pair
+    if c == d:
+        return None
+    if key(c) < key(d):
+        c, d = d, c
+    kd = key(d)
+    while True:  # the greater term
+        for a, b in basis:
+            if exp_divides(a, c):
+                c = _replace(c, a, b)
+                break
+        else:
+            break
+        if c == d:
+            return None
+        kc = key(c)
+        if kc < kd:
+            c, d, kd = d, c, kc
+    return c, _reduce_tail(d, basis)
+
+
+def _replace(m: Exponent, a: Exponent, b: Exponent) -> Exponent:
+    """m - a + b: the monomial x^m with its factor x^a replaced by x^b."""
+    return tuple(x - y + z for x, y, z in zip(m, a, b))
+
+
+def _reduce_tail(d: Exponent, basis) -> Exponent:
+    """The monomial d reduced while the lead of some element of basis divides it."""
+    while True:
+        for a, b in basis:
+            if exp_divides(a, d):
+                d = _replace(d, a, b)
+                break
+        else:
+            return d
+
+
+def binomial_basis(pairs, order: TermOrder) -> tuple[tuple[tuple[Exponent, Exponent], ...], int]:
+    """The reduced Groebner basis of the ideal of the pure binomials x^a - x^b.
+
+    pairs holds (a, b) exponent pairs; a pair with a = b is zero and is
+    skipped.  Returns the basis as (lead, tail) pairs in descending lead
+    order, and the number of pairs processed.  The loop is buchberger's,
+    with its pair bookkeeping and cap, on exponents alone: every
+    S-polynomial and every remainder of pure binomials is a pure binomial or
+    zero, so no coefficient is ever computed.  The S-pair of (a1, b1) and
+    (a2, b2) with l = lcm(a1, a2) is (l - a1 + b1, l - a2 + b2).  On the
+    same generators as polynomials, buchberger processes as many pairs and
+    returns the same elements.
+    """
+    if not order.is_well_order():
+        raise ValueError("Groebner computation requires a well-order")
+    key = order.key
+    queue = _PairQueue(order)
+    basis: list[tuple[Exponent, Exponent]] = []  # indexed like queue.leads
+    reducers: list[tuple[Exponent, Exponent]] = []  # the elements of G
+
+    def add(pair) -> None:
+        basis.append(pair)
+        queue.add(pair[0])
+        reducers[:] = [basis[i] for i in queue.active]
+
+    for a, b in pairs:
+        if a != b:
+            add((a, b) if key(a) > key(b) else (b, a))
+    while (pair := queue.pop()) is not None:
+        (a1, b1), (a2, b2) = basis[pair[0]], basis[pair[1]]
+        lcm = exp_lcm(a1, a2)
+        r = binomial_normal_form((_replace(lcm, a1, b1), _replace(lcm, a2, b2)), reducers, order)
+        if r is not None:
+            add(r)
+
+    # interreduce as _interreduce does: the minimal leads, ascending, each
+    # with its tail reduced against the others
+    minimal: list[tuple[Exponent, Exponent]] = []
+    for a, b in sorted(reducers, key=lambda t: key(t[0])):
+        if not any(exp_divides(m, a) for m, _ in minimal):
+            minimal.append((a, b))
+    reduced = [
+        (a, _reduce_tail(b, minimal[:i] + minimal[i + 1 :])) for i, (a, b) in enumerate(minimal)
+    ]
+    return tuple(reversed(reduced)), queue.processed
 
 
 def _place_lone_variables(ring: PolyRing, gens):

@@ -152,24 +152,32 @@ def saturation_order(weights, i: int) -> TermOrder:
 
 
 def krull_dimension(a: IdealPresentation, order: TermOrder | None = None) -> int:
-    """Dimension of the quotient ring, via a maximal independent variable set.
+    """Dimension of the quotient ring, from the leads of a Groebner basis.
 
-    A variable set S is independent of the leading-term ideal when no leading
-    term involves only variables from S; the dimension is the largest such
-    |S| (equivalently nvars minus a minimum hitting set of the leading-term
-    supports).  The unit ideal is rejected.
+    The unit ideal is rejected.
     """
     gb = a.groebner(order)
     if gb.is_unit_ideal():
         raise ImproperIdealError("the unit ideal has no Krull dimension")
-    supports = [frozenset(i for i, x in enumerate(e) if x) for e in gb.leads]
+    return leading_dimension(gb.leads, a.ring.nvars)
+
+
+def leading_dimension(leads, n: int) -> int:
+    """Krull dimension of the quotient of n variables by the monomials with these exponents.
+
+    It is that of the ideal whose Groebner basis has these leads.  A
+    variable set S is independent of the leading-term ideal when no leading
+    term involves only variables from S; the dimension is the largest such
+    |S| (equivalently n minus a minimum hitting set of the leading-term
+    supports).
+    """
+    supports = [frozenset(i for i, x in enumerate(e) if x) for e in leads]
     # a single-variable support forces its variable into every hitting set,
     # and that variable hits every support holding it
     forced = {i for s in supports if len(s) == 1 for i in s}
     rest = {s for s in supports if not s & forced}
     # remove supersets, they are hit automatically
     rest = [s for s in rest if not any(t < s for t in rest)]
-    n = a.ring.nvars
     return n - len(forced) - _min_hitting_set(rest, n)
 
 

@@ -7,10 +7,14 @@ lattice rank of the support columns, and its closure is cut out by binomials
 coming from the integer kernel of the support columns (saturated by the
 support coordinates) plus the vanishing coordinates.  The binomial part is
 computed in the ring of the support's variables alone, so a closure costs
-what its support costs, whatever the width of the ring.  A support
-coordinate is saturated only when no binomial of a column relation, already
-in the ideal, shows it to be a nonzerodivisor, and the closure is checked
-from its lex basis alone.
+what its support costs, whatever the width of the ring, and at the
+all-ones point: scaling each coordinate by the point's makes it an ideal
+of pure binomials, whose Groebner bases are computed on exponent pairs
+with no coefficients (Eisenbud and Sturmfels, Duke Math. J. 84, 1996,
+Prop. 1.1) and scaled back by the point at the end.  A support coordinate
+is saturated only when no binomial of a column relation, already in the
+ideal, shows it to be a nonzerodivisor, and the closure is checked from
+its lex basis alone.
 
 Also here: the union of coordinate subspaces where the orbit dimension is
 at most a bound (the flats of that rank in the column matroid), the
@@ -35,13 +39,14 @@ from . import intlinalg
 from .cones import HomogeneousIdeal, generator_degrees
 from .errors import DependentColumnsError, NoRationalPointError, Rejection
 from .grading import GradingMap
-from .groebner import normal_form
+from .groebner import binomial_basis, binomial_normal_form
 from .ideals import (
     IdealPresentation,
     eliminate,
     ideal_sum,
     is_proper_homogeneous,
     krull_dimension,
+    leading_dimension,
     saturate,
     saturation_order,
 )
@@ -160,23 +165,35 @@ def orbit_closure_ideal(p: RationalPoint, grading: GradingMap) -> HomogeneousIde
     x_j comes before a lead exactly when j precedes the lead's first
     variable.
 
+    I_S is computed at the all-ones point, on exponent pairs.  With q the
+    coordinates of p on S, the substitution x_i = q_i y_i maps a binomial
+    q^b x^a - q^a x^b to q^(a+b) (y^a - y^b) and keeps every leading
+    exponent, so I_S corresponds to the lattice ideal of pure binomials
+    y^(u+) - y^(u-), and every Groebner computation on I_S to the same
+    computation on pure binomials, step for step.  Pure binomials stay pure
+    under S-polynomials and reduction (Eisenbud and Sturmfels, Prop. 1.1),
+    so groebner.binomial_basis computes them from exponents alone, and
+    each basis pair (a, b) maps back to q^b x^a - q^a x^b.
+
     Fewer saturations suffice (Hosten and Sturmfels, IPCO 1995).  The
     support is walked in ascending order, keeping the saturated coordinates
     whose columns are independent (spanning).  Before x_i is saturated,
     when a_i lies in the span of the spanning columns, let u be the
     primitive kernel vector of the columns spanning + [i] with u_i > 0.  If
-    its binomial x^{u+} - c x^{u-} (c nonzero) has normal form zero modulo
-    the current ideal K, under the order of the last saturation step (whose
-    quotients are a Groebner basis for it), x_i is skipped: K is saturated
-    in every spanning coordinate, so x_i f in K gives x^{u+} f in K, then
-    x^{u-} f in K and f in K.  That stays true as K grows, so at the end
-    every support coordinate is a nonzerodivisor and the ideal is the full
-    saturation.
+    the pair (u+, u-) has normal form zero modulo the current ideal K,
+    under the order of the last saturation step (whose quotients are a
+    Groebner basis for it), x_i is skipped: K is saturated in every
+    spanning coordinate, so x_i f in K gives x^{u+} f in K, then x^{u-} f
+    in K and f in K.  That stays true as K grows, so at the end every
+    support coordinate is a nonzerodivisor and the ideal is the full
+    saturation.  The saturation by x_i is the reduced basis under
+    ideals.saturation_order(weights, i), with the least exponent of x_i
+    taken from both sides of every pair (Bayer and Stillman).
 
     I_S is verified from its lex basis: homogeneous generators, each
-    vanishing along the parametrization, and Krull dimension (which rejects
-    the unit ideal) equal to the orbit dimension, which is the closure's
-    dimension too.  The x_j are monic, of degree column j, and vanish at p.
+    vanishing along the parametrization, and Krull dimension, read from the
+    leads, equal to the orbit dimension, which is the closure's dimension
+    too.  The x_j are monic, of degree column j, and vanish at p.
     """
     if p.ring != grading.ring:
         raise ValueError("point and grading live on different rings")
@@ -188,7 +205,7 @@ def orbit_closure_ideal(p: RationalPoint, grading: GradingMap) -> HomogeneousIde
     weights = tuple(dots[i] for i in support)
     coordinates = range(len(support))  # the support's positions in the subring
     lattice = _column_kernel(local, coordinates)
-    pres = IdealPresentation(local.ring, [_binomial(q, coordinates, u) for u in lattice])
+    pairs = [_split(u, coordinates, len(support)) for u in lattice]
     spanning: list[int] = []
     order = None  # the order of the last saturation step
     for i in coordinates:
@@ -200,25 +217,31 @@ def orbit_closure_ideal(p: RationalPoint, grading: GradingMap) -> HomogeneousIde
             (u,) = kernel
             if u[-1] < 0:
                 u = tuple(-k for k in u)
-            if not normal_form(_binomial(q, spanning + [i], u), pres.generators, order):
+            circuit = _split(u, spanning + [i], len(support))
+            if binomial_normal_form(circuit, pairs, order) is None:
                 continue
-        pres = saturate(pres, [i], weights)
         order = saturation_order(weights, i)
+        basis, _ = binomial_basis(pairs, order)
+        pairs = []
+        for a, b in basis:
+            k = min(a[i], b[i])
+            pairs.append((a[:i] + (a[i] - k,) + a[i + 1 :], b[:i] + (b[i] - k,) + b[i + 1 :]))
 
     lex = TermOrder.lex()
+    gb, _ = binomial_basis(pairs, lex)
+    leads = [a for a, _ in gb]
     # the orbit dimension, by rank-nullity from the full kernel of the support columns
-    if krull_dimension(pres, lex) != len(support) - len(lattice):
+    if leading_dimension(leads, len(support)) != len(support) - len(lattice):
         raise ArithmeticError("closure dimension disagrees with the orbit dimension")
-    gb = pres.groebner(lex)
     toric = IdealPresentation(
-        local.ring, [lex.positive_leading(g.scaled_primitive()) for g in gb.elements]
+        local.ring, [lex.positive_leading(_scaled_back(q, a, b).scaled_primitive()) for a, b in gb]
     )
     for g in toric.generators:
         if torus_restriction(g, q, local.degree):
             raise ArithmeticError("closure generator does not vanish on the orbit")
     n = ring.nvars
     rows = []  # (first variable of the lead, generator, degree)
-    for g, degree, lead in zip(toric.generators, generator_degrees(toric, local), gb.leads):
+    for g, degree, lead in zip(toric.generators, generator_degrees(toric, local), leads):
         terms = {}
         for e, c in g.terms.items():
             lifted = [0] * n
@@ -243,25 +266,27 @@ def _column_kernel(grading: GradingMap, coordinates) -> list[tuple[int, ...]]:
     return intlinalg.integer_kernel(rows)
 
 
-def _binomial(p: RationalPoint, coordinates, u) -> Polynomial:
-    """p^{u-} x^{u+} - p^{u+} x^{u-}, u an integer vector over the coordinates.
-
-    It vanishes at p and, when u is a relation among the degree columns, on
-    p's whole orbit.
-    """
-    ring = p.ring
-    plus = [0] * ring.nvars
-    minus = [0] * ring.nvars
-    aplus = Fraction(1)
-    aminus = Fraction(1)
+def _split(u, coordinates, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(u+, u-) in n variables, u an integer vector over the coordinates."""
+    plus = [0] * n
+    minus = [0] * n
     for i, k in zip(coordinates, u):
         if k > 0:
             plus[i] = k
-            aplus *= p.coords[i] ** k
         elif k < 0:
             minus[i] = -k
-            aminus *= p.coords[i] ** (-k)
-    return ring.monomial(tuple(plus), aminus) - ring.monomial(tuple(minus), aplus)
+    return tuple(plus), tuple(minus)
+
+
+def _scaled_back(q: RationalPoint, a, b) -> Polynomial:
+    """q^b x^a - q^a x^b: the pure binomial x^a - x^b moved from the all-ones point to q."""
+    qa = qb = Fraction(1)
+    for c, i, j in zip(q.coords, a, b):
+        if i:
+            qa *= c**i
+        if j:
+            qb *= c**j
+    return q.ring.monomial(a, qb) - q.ring.monomial(b, qa)
 
 
 @dataclass(frozen=True)

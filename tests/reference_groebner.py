@@ -22,14 +22,21 @@ import random
 from fractions import Fraction
 
 from gradedcones.errors import ResourceLimitError
-from gradedcones.groebner import GroebnerBasis, buchberger, normal_form, pair_limit, s_polynomial
+from gradedcones.groebner import (
+    GroebnerBasis,
+    binomial_basis,
+    buchberger,
+    normal_form,
+    pair_limit,
+    s_polynomial,
+)
 from gradedcones.orders import TermOrder
 from gradedcones.rings import Exponent, PolyRing, Polynomial, exp_add, exp_divides, exp_lcm, exp_sub
 
 from helpers import exponents_up_to
 from reference_singular import pair_cap
 
-PAIR_CAP = 200  # Groebner pairs per run; the seeded ideals need at most 48
+PAIR_CAP = 200  # Groebner pairs per run; the seeded lone-variable ideals need at most 48
 
 
 def reference_buchberger(
@@ -236,13 +243,71 @@ def lone_variables_set_to_zero(gens) -> list[Polynomial]:
             images[e.index(1)] = ring.zero()
 
 
+def random_binomials(rng: random.Random) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Two to four exponent pairs (a, b) in 2-6 variables, entries 0-2.
+
+    Each stands for the pure binomial x^a - x^b.  The two sides are drawn
+    apart, so a pair may be zero (a = b), have a constant side, or share
+    variables on both sides.
+    """
+    n = rng.randint(2, 6)
+    return [
+        tuple(tuple(rng.choice((0, 0, 1, 2)) for _ in range(n)) for _ in "ab")
+        for _ in range(rng.randint(2, 4))
+    ]
+
+
+def binomial_mismatches(count: int, seed: int) -> list[str]:
+    """Descriptions of the binomial ideals and orders on which the two loops disagree."""
+    rng = random.Random(seed)
+    bad = []
+    with pair_cap(PAIR_CAP):
+        for _ in range(count):
+            pairs = random_binomials(rng)
+            n = len(pairs[0][0])
+            ring = PolyRing(tuple(f"x{i}" for i in range(n)))
+            gens = [_pure(ring, a, b) for a, b in pairs]
+            for order in orders(rng, n):
+                ours = _pair_outcome(ring, pairs, order)
+                theirs = _buchberger_outcome(ring, gens, order)
+                if ours != theirs:
+                    bad.append(f"{pairs} under {order!r}: {ours} != {theirs}")
+    return bad
+
+
+def _pure(ring: PolyRing, a, b) -> Polynomial:
+    return ring.monomial(a) - ring.monomial(b)
+
+
+def _pair_outcome(ring: PolyRing, pairs, order: TermOrder):
+    """The (lead, x^lead - x^tail) elements and the pairs processed, or the refusal at the cap."""
+    try:
+        basis, processed = binomial_basis(pairs, order)
+    except ResourceLimitError as err:
+        return str(err)
+    return [(lead, _pure(ring, lead, tail)) for lead, tail in basis], processed
+
+
+def _buchberger_outcome(ring: PolyRing, gens, order: TermOrder):
+    """The (lead, element) pairs and the pairs processed, or the refusal at the cap."""
+    try:
+        gb = buchberger(gens, order, ring=ring)
+    except ResourceLimitError as err:
+        return str(err)
+    return list(zip(gb.leads, gb.elements)), gb.stats["pairs_processed"]
+
+
+STREAMS = {"lone": mismatches, "binomial": binomial_mismatches}
+
+
 if __name__ == "__main__":
     import sys
 
     count = int(sys.argv[1]) if len(sys.argv) > 1 else 300
     seed = int(sys.argv[2]) if len(sys.argv) > 2 else 20090127
-    bad = mismatches(count, seed)
-    print(f"{count} ideals, seed {seed}: {len(bad)} mismatches")
+    stream = sys.argv[3] if len(sys.argv) > 3 else "lone"
+    bad = STREAMS[stream](count, seed)
+    print(f"{count} {stream} ideals, seed {seed}: {len(bad)} mismatches")
     for line in bad[:10]:
         print(line)
     sys.exit(1 if bad else 0)

@@ -1,10 +1,11 @@
 """Orbit closures by full saturation and the full-ring orbit search, kept as references.
 
 `orbits.orbit_closure_ideal` works in the ring of the support's variables,
-skips the saturation by a support coordinate when a binomial of the lattice
-already shows it to be a nonzerodivisor, and checks the closure from its
-lex basis; `orbits.nonvanishing_coordinates` takes a coordinate point on
-the cone, read from coefficients, as a witness instead of saturating.  The
+on exponent pairs at the all-ones point, skips the saturation by a support
+coordinate when a binomial of the lattice already shows it to be a
+nonzerodivisor, and checks the closure from its lex basis;
+`orbits.nonvanishing_coordinates` takes a coordinate point on the cone,
+read from coefficients, as a witness instead of saturating.  The
 references below work in the full ring, saturate by every support
 coordinate, validate the closure through `homogeneous_ideal`, and saturate
 by every coordinate.  `orbits.find_one_dim_orbit` searches each support in

@@ -205,6 +205,14 @@ def test_buchberger_agrees_with_the_unsplit_reference():
     assert reference_groebner.mismatches(300, seed=20090127) == []
 
 
+def test_binomial_basis_agrees_with_buchberger():
+    # the pair loop on exponents against buchberger on the same pure
+    # binomials, zero ones included, under the same five orders: elements,
+    # leads, their order and the pairs processed, or the same refusal at
+    # the pair cap
+    assert reference_groebner.binomial_mismatches(300, seed=20090127) == []
+
+
 def test_lone_variables_go_straight_into_the_basis():
     r4 = PolyRing(("y1", "y2", "y3", "y4"))
     # y1 is lone, then y2 once y1 y3 is dropped, then y3 once y2 y4 is
