@@ -115,7 +115,7 @@ def _diagnostics(err: GradedConesError) -> dict:
     out = {"error": type(err).__name__, "message": str(err)}
     if isinstance(err, NotHomogeneousError):
         out["component_degrees"] = [list(d) for d in err.degrees]
-    if isinstance(err, NonPositiveGradingError) and err.certificate is not None:
+    if isinstance(err, NonPositiveGradingError):
         out["certificate"] = list(err.certificate)
     if isinstance(err, NoRationalPointError):
         out["supports"] = [list(s) for s in err.supports]

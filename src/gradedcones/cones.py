@@ -19,6 +19,14 @@ intersection with the kept ring.  Its reduced degrevlex basis there, and
 each s_p reduced modulo it, are what a block order (eliminated variables
 first, ties by degrevlex) would give: that order restricted to kept
 monomials is degrevlex on the kept ring, and reduced bases are unique.
+That basis is the embedded cone: it is homogeneous and has no constant,
+so it is packaged without another Groebner basis, and its restricted
+grading, positive under the same weights, without another LP.
+
+The embedding also decides smoothness, by the paper's criterion: the cone
+is smooth at the origin exactly when the embedded ideal is zero.  Only a
+singular cone needs a Krull dimension; for a cone from homogeneous_ideal
+it reads the basis that the properness check cached.
 """
 
 from __future__ import annotations
@@ -224,7 +232,12 @@ def minimal_embedding(cone: HomogeneousIdeal, kept=None) -> EmbeddingResult:
     basis = IdealPresentation(kept_ring, embedded_gens).groebner()
     back = [ring.variable(i) for i in kept_list]
     substitution = {p: basis.normal_form(images[p]).substitute(ring, back) for p in eliminated}
-    embedded = homogeneous_ideal(basis.elements, cone.grading.restrict(kept_list))
+    # the quotient of a proper cone, under its restricted grading: positive
+    # by the same weights, so the grading's LP runs only if its witness is asked for
+    base = IdealPresentation(kept_ring, basis.elements)
+    assert is_proper_homogeneous(base), "embedded ideal of a proper cone is the unit ideal"
+    restricted = cone.grading.restrict(kept_list)
+    embedded = HomogeneousIdeal(base, restricted, generator_degrees(base, restricted))
     if len(kept_list) == tangent:
         assert linear_part(embedded).dimension() == 0, "minimal embedding kept a linear form"
     return EmbeddingResult(
@@ -247,21 +260,22 @@ class SmoothnessReport:
 
 
 def smooth_at_origin(cone: HomogeneousIdeal) -> SmoothnessReport:
-    """Smoothness at the origin by the tangent-space criterion.
+    """Smoothness at the origin by the paper's criterion.
 
-    The cone is smooth at the origin exactly when its dimension equals
-    nvars minus the linear-part dimension; in that case the minimal
-    embedding must present it as the zero ideal, which is asserted.
+    The minimal embedding presents the cone in its Zariski tangent space at
+    the origin, and the cone is smooth there exactly when the embedded
+    ideal is zero.  A smooth cone fills its tangent space, so its dimension
+    is tangent_dim.  Otherwise cone_dim is the Krull dimension of the
+    cone's own ideal (from the degrevlex basis that homogeneous_ideal
+    cached), below tangent_dim because the embedded ideal is nonzero.
     """
-    n = cone.ring.nvars
-    d = krull_dimension(cone.base)
-    e = linear_part(cone).dimension()
-    smooth = d == n - e
-    if smooth:
-        embedded = minimal_embedding(cone).embedded
-        assert embedded.base.is_zero_ideal(), "smooth cone with a nonzero embedded ideal"
+    emb = minimal_embedding(cone)
+    n, t = cone.ring.nvars, emb.tangent_dim
+    smooth = emb.embedded.base.is_zero_ideal()
+    d = t if smooth else krull_dimension(cone.base)
+    assert smooth or d < t, "singular cone fills its tangent space"
     return SmoothnessReport(
-        ambient=n, cone_dim=d, linear_dim=e, tangent_dim=n - e, smooth=smooth
+        ambient=n, cone_dim=d, linear_dim=n - t, tangent_dim=t, smooth=smooth
     )
 
 

@@ -40,11 +40,9 @@ the active term order, descending.  parse(format(x)) == x.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, islice
-from typing import NamedTuple
 
 from .errors import ParseFailure
 from .grading import GradingMap
@@ -52,13 +50,6 @@ from .orders import TermOrder
 from .rings import PolyRing, Polynomial
 
 RESERVED = {"ring", "grading", "ideal", "point"}
-
-
-class Token(NamedTuple):
-    kind: str  # IDENT, INT, PUNCT, EOF
-    text: str
-    line: int
-    column: int
 
 
 _PUNCT = frozenset("-+*^/()[],;=")
@@ -142,18 +133,6 @@ class _Cursor:
     def expected(self, want: str, at: int) -> ParseFailure:
         """The ParseFailure of finding token `at` where `want` belongs."""
         return self.fail(f"expected {want!r}, found {self.texts[at] or 'EOF'!r}", at)
-
-
-def tokenize(text: str) -> list[Token]:
-    """The scan as Token tuples, each with its line and column."""
-    kinds = _Cursor(text).kinds
-    line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
-    tokens = []
-    for kind, match in zip(kinds, _token_matches(text)):
-        start = match.start(1)
-        line = bisect_right(line_starts, start)
-        tokens.append(Token(kind, match[1], line, start - line_starts[line - 1] + 1))
-    return tokens
 
 
 # -- polynomials ---------------------------------------------------------------

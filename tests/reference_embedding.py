@@ -7,10 +7,17 @@ Gauss-Jordan elimination on coefficient rows.  `tests/test_cones.py` runs
 `mismatches` on seeded cones, with and without a kept set, and on stratum
 cones: the linear parts, the kept and eliminated variables, the
 substitutions, the embedded rings, generators and gradings, the tangent
-dimensions, or the rejection messages, must agree.  Run this file directly
-to do the same check without pytest:
+dimensions, or the rejection messages, must agree.
 
-    PYTHONPATH=src python3 tests/reference_embedding.py [count] [seed]
+The `smooth` stream (`smooth_mismatches`) holds `cones.smooth_at_origin`,
+which decides by the embedded ideal, to the dimension criterion it
+replaced: a cone is smooth at the origin exactly when its Krull dimension
+is its tangent dimension.  Graph cones make most of its cones smooth with
+a linear part.
+
+Run this file directly to do either check without pytest:
+
+    PYTHONPATH=src python3 tests/reference_embedding.py [count] [seed] [smooth]
 """
 
 from __future__ import annotations
@@ -22,17 +29,25 @@ from gradedcones.cones import (
     EmbeddingResult,
     HomogeneousIdeal,
     LinearPartBasis,
+    SmoothnessReport,
     homogeneous_ideal,
     linear_part,
     minimal_embedding,
+    smooth_at_origin,
 )
 from gradedcones.errors import Rejection
 from gradedcones.grading import GradingMap, PositivityWitness
+from gradedcones.ideals import krull_dimension
 from gradedcones.orders import TermOrder
 from gradedcones.rings import PolyRing, Polynomial
 from gradedcones.strata import MonomialIdealSpec, stratum_ideal, tail_scheme
 
-from helpers import exponents_up_to, stratum_cone
+from helpers import (
+    exponents_up_to,
+    random_homogeneous_generators,
+    random_positive_grading,
+    stratum_cone,
+)
 
 
 def reference_linear_part(cone: HomogeneousIdeal) -> LinearPartBasis:
@@ -214,17 +229,9 @@ def random_cone(rng: random.Random) -> HomogeneousIdeal:
     """
     n = rng.randint(2, 5)
     ring = PolyRing(tuple(f"x{i}" for i in range(n)))
-    m = rng.randint(1, 2)
-    while True:
-        grading = GradingMap(
-            ring, [tuple(rng.randint(-1, 3) for _ in range(m)) for _ in range(n)]
-        )
-        if isinstance(grading.positivity(), PositivityWitness):
-            break
+    grading = _positive_grading(rng, ring)
     exponents = [e for e in exponents_up_to(n, 3) if any(e)]
-    by_degree: dict = {}
-    for e in exponents:
-        by_degree.setdefault(grading.degree(e), []).append(e)
+    by_degree = _by_degree(grading, exponents)
     gens = []
     for _ in range(rng.randint(1, n)):
         if rng.random() < 0.8:
@@ -237,6 +244,60 @@ def random_cone(rng: random.Random) -> HomogeneousIdeal:
             chosen = rng.sample(exps, k=min(len(exps), rng.randint(1, 3)))
         gens.append(Polynomial(ring, {e: _rational(rng) for e in chosen}))
     return homogeneous_ideal(gens, grading)
+
+
+def _positive_grading(rng: random.Random, ring: PolyRing) -> GradingMap:
+    """1 or 2 rows of entries -1..3, drawn until the grading is positive."""
+    m = rng.randint(1, 2)
+    while True:
+        grading = GradingMap(
+            ring, [tuple(rng.randint(-1, 3) for _ in range(m)) for _ in range(ring.nvars)]
+        )
+        if isinstance(grading.positivity(), PositivityWitness):
+            return grading
+
+
+def _by_degree(grading: GradingMap, exponents) -> dict:
+    """The exponents grouped by their degree, each group in the given order."""
+    out: dict = {}
+    for e in exponents:
+        out.setdefault(grading.degree(e), []).append(e)
+    return out
+
+
+def random_graph_cone(rng: random.Random) -> HomogeneousIdeal:
+    """A smooth cone in 2-5 variables: the graph of a map to some of the coordinates.
+
+    For each p of a random nonempty set of variables the generator is
+    x_p - f_p, with f_p up to three monomials of x_p's degree and of
+    standard degree 2 or 3 (none of them holds x_p: the rest of it would
+    have degree zero), so the cone is smooth with tangent space the other
+    coordinates.  One time in three x_q g_p + x_p g_q, for two of these
+    generators g_p and g_q, is added: a generator of the ideal with no
+    linear part.
+    """
+    n = rng.randint(2, 5)
+    ring = PolyRing(tuple(f"x{i}" for i in range(n)))
+    grading = _positive_grading(rng, ring)
+    by_degree = _by_degree(grading, [e for e in exponents_up_to(n, 3) if sum(e) >= 2])
+    graph = {}
+    for p in sorted(rng.sample(range(n), k=rng.randint(1, n))):
+        same = by_degree.get(grading.columns[p], [])
+        chosen = rng.sample(same, k=min(len(same), rng.randint(0, 3)))
+        graph[p] = ring.variable(p) - Polynomial(ring, {e: _rational(rng) for e in chosen})
+    gens = list(graph.values())
+    if len(graph) >= 2 and rng.random() < 1 / 3:
+        p, q = rng.sample(sorted(graph), k=2)
+        gens.append(ring.variable(q) * graph[p] + ring.variable(p) * graph[q])
+    return homogeneous_ideal(gens, grading)
+
+
+def random_generic_cone(rng: random.Random) -> HomogeneousIdeal:
+    """A cone in 2-5 variables on up to three random homogeneous generators of
+    standard degree at most 3, drawn by `helpers.random_homogeneous_generators`."""
+    ring = PolyRing(tuple(f"x{i}" for i in range(rng.randint(2, 5))))
+    grading = random_positive_grading(rng, ring, rng.randint(1, 2))
+    return homogeneous_ideal(random_homogeneous_generators(rng, grading, 3, 3), grading)
 
 
 def _rational(rng: random.Random) -> Fraction:
@@ -292,13 +353,48 @@ def mismatches(count: int, seed: int) -> list[str]:
     return bad
 
 
+def smooth_mismatches(count: int, seed: int) -> tuple[list[str], int]:
+    """The cones whose smoothness report disagrees with the dimension
+    criterion, and how many cones were smooth with a linear part.
+
+    count cones, three in five `random_graph_cone`s and the rest
+    `random_generic_cone`s.  The report must read the ambient, linear-part
+    and tangent dimensions off the reference linear part, cone_dim must be
+    the Krull dimension of the cone's ideal, and the cone is smooth
+    exactly when that dimension is the tangent dimension.
+    """
+    rng = random.Random(seed)
+    bad = []
+    smooth_linear = 0
+    for _ in range(count):
+        cone = random_graph_cone(rng) if rng.random() < 0.6 else random_generic_cone(rng)
+        report = smooth_at_origin(cone)
+        n = cone.ring.nvars
+        e = reference_linear_part(cone).dimension()
+        dim = krull_dimension(cone.base)
+        want = SmoothnessReport(
+            ambient=n, cone_dim=dim, linear_dim=e, tangent_dim=n - e, smooth=dim == n - e
+        )
+        if report != want:
+            bad.append(f"{cone!r}: {report} != {want}")
+        smooth_linear += report.smooth and e > 0
+    return bad, smooth_linear
+
+
 if __name__ == "__main__":
     import sys
 
     count = int(sys.argv[1]) if len(sys.argv) > 1 else 300
     seed = int(sys.argv[2]) if len(sys.argv) > 2 else 20090120
-    bad = mismatches(count, seed)
-    print(f"{count} cones, seed {seed}: {len(bad)} mismatches")
+    if sys.argv[3:] == ["smooth"]:
+        bad, smooth_linear = smooth_mismatches(count, seed)
+        print(
+            f"{count} cones, seed {seed}, smooth: {smooth_linear} smooth with a linear part, "
+            f"{len(bad)} mismatches"
+        )
+    else:
+        bad = mismatches(count, seed)
+        print(f"{count} cones, seed {seed}: {len(bad)} mismatches")
     for line in bad[:10]:
         print(line)
     sys.exit(1 if bad else 0)

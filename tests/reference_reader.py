@@ -1,8 +1,10 @@
 """The character-loop reader that session.py replaced, kept as a reference.
 
-`tests/test_session.py` runs `mismatches` on seeded strings: the tokens, or
-the ParseFailure message, line and column, and the parsed sessions and
-polynomials of the reference and of `gradedcones.session` must agree.
+`tests/test_session.py` runs `mismatches` on seeded strings: the parsed
+sessions and polynomials of the reference and of `gradedcones.session`, or
+the ParseFailure message, line and column, must agree.  The reference's
+`tokenize` feeds its own parser, and `tests/test_session_properties.py`
+re-spaces documents along its tokens.
 It also runs `mismatches` on documents shaped like the benchmark's pool
 documents (`pool_document`).  Run this file directly to do the same check
 without pytest, on the `random` documents or the `pool` ones:
@@ -425,10 +427,6 @@ def _outcome(read, text):
         return ("refused", str(err))
 
 
-def _tokens(tokenizer):
-    return lambda text: [(t.kind, t.text, t.line, t.column) for t in tokenizer(text)]
-
-
 def _terms(p: Polynomial):
     """Terms in dictionary order, so the order they were added in counts too."""
     return [(e, c, type(c)) for e, c in p.terms.items()]
@@ -455,7 +453,6 @@ def _polynomial(parse):
 
 
 CHECKS = (
-    (_tokens(tokenize), _tokens(session.tokenize)),
     (session_view(parse_session), session_view(session.parse_session)),
     (_polynomial(parse_polynomial), _polynomial(session.parse_polynomial)),
 )

@@ -211,8 +211,11 @@ def test_criterion_06_minimal_embeddings():
             relations = [ring.variable(p) - emb.substitution[p] for p in emb.eliminated]
             assert IdealPresentation(ring, lifted + relations).same_ideal(cone.base)
 
+            # the embedding decides smoothness; the dimension criterion checks it
             report = smooth_at_origin(cone)
-            assert report.smooth == emb.embedded.base.is_zero_ideal()
+            dim = krull_dimension(cone.base)
+            assert report.smooth == (dim == emb.tangent_dim)
+            assert report.cone_dim == dim
 
 
 def test_criterion_07_equivariance():

@@ -6,6 +6,9 @@ from itertools import combinations
 
 import pytest
 
+import gradedcones.cones
+import gradedcones.grading
+import gradedcones.ideals
 from gradedcones.cones import (
     homogeneous_ideal,
     linear_part,
@@ -179,6 +182,54 @@ def test_smoothness_reports():
     everything = smooth_at_origin(homogeneous_ideal([], g))
     assert everything.smooth and everything.cone_dim == 3
     assert not smooth_at_origin(SURFACE).smooth
+
+
+def test_smoothness_agrees_with_the_dimension_criterion():
+    # the embedded ideal's verdict against Krull dimension == tangent
+    # dimension, on graph cones (smooth, with a linear part) and random ones
+    bad, smooth_linear = reference_embedding.smooth_mismatches(300, seed=20090141)
+    assert bad == []
+    assert smooth_linear >= 100
+
+
+def _counted(monkeypatch, module, name) -> list:
+    """The calls of module.name from now on, one argument tuple each."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_minimal_embedding_runs_one_groebner_basis_and_no_lp(monkeypatch):
+    # the embedded cone is the kept ring's reduced basis under the restricted
+    # grading: packaging it needs no second basis and no positivity LP
+    ring = PolyRing(("x", "y", "z"))
+    cone = homogeneous_ideal(
+        [ring.parse("x - y z"), ring.parse("x y - z^3")], grading1(ring, [2, 1, 1])
+    )
+    runs = _counted(monkeypatch, gradedcones.ideals, "buchberger")
+    lps = _counted(monkeypatch, gradedcones.grading, "positivity_witness")
+    emb = minimal_embedding(cone)
+    assert emb.eliminated == (0,)
+    assert emb.embedded.base.generators == (emb.embedded.ring.parse("y^2 z - z^3"),)
+    assert emb.embedded.degrees == ((3,),)
+    assert len(runs) == 1 and lps == []
+
+
+def test_a_smooth_cone_needs_no_krull_dimension(monkeypatch):
+    ring = PolyRing(("x", "y", "z"))
+    cone = homogeneous_ideal(
+        [ring.parse("x + y^2"), ring.parse("z + y^3")], grading1(ring, [2, 1, 3])
+    )
+    dims = _counted(monkeypatch, gradedcones.cones, "krull_dimension")
+    report = smooth_at_origin(cone)
+    assert report.smooth and report.cone_dim == report.tangent_dim == 1
+    assert report.linear_dim == 2 and dims == []
 
 
 def test_singular_locus_goldens():

@@ -12,7 +12,6 @@ from gradedcones.session import (
     format_session,
     parse_polynomial,
     parse_session,
-    tokenize,
 )
 
 import reference_reader
@@ -33,22 +32,16 @@ def fails_at(text, line, column):
 
 
 def test_tokenizer_positions():
-    toks = tokenize("ring x ;\n# comment\npoint P")
-    assert [(t.kind, t.text) for t in toks] == [
-        ("IDENT", "ring"),
-        ("IDENT", "x"),
-        ("PUNCT", ";"),
-        ("IDENT", "point"),
-        ("IDENT", "P"),
-        ("EOF", ""),
-    ]
-    assert (toks[3].line, toks[3].column) == (3, 1)
+    # a comment line is skipped, and the token after it starts line 3
+    err = fails_at("ring x ;\n# comment\nbogus P", 3, 1)
+    assert err.reason == "unknown statement 'bogus'"
     for text in ("x ? y", "x ² y", "x ½y"):  # ² and ½ are alphanumeric but no letters
-        with pytest.raises(ParseFailure) as info:
-            tokenize(text)
-        assert info.value.column == 3
-    # the column does not advance through a comment that ends the document
-    assert tokenize("x # tail")[-1] == ("EOF", "", 1, 3)
+        err = fails_at(text, 1, 3)
+        assert err.reason == f"unexpected character {text[2]!r}"
+    # the column does not advance through a comment that ends the document:
+    # EOF sits at its #
+    err = fails_at("ring x # tail", 1, 8)
+    assert err.reason == "expected ';', found 'EOF'"
 
 
 def test_reader_matches_the_character_loop_reader():

@@ -16,7 +16,6 @@ from gradedcones.session import (  # noqa: E402
     SessionInput,
     format_session,
     parse_session,
-    tokenize,
 )
 
 import reference_reader  # noqa: E402
@@ -80,7 +79,7 @@ SEPARATORS = ("", " ", "\t  ", "\n", "\r\n", " # note\r\n", "\n# ring x ;\n")
 @given(sessions(), st.data())
 def test_blanks_comments_and_stars_leave_the_parse_alone(session, data):
     text = format_session(session)
-    tokens = [t for t in tokenize(text)[:-1] if t.text != "*" or data.draw(st.booleans())]
+    tokens = [t for t in reference_reader.tokenize(text)[:-1] if t.text != "*" or data.draw(st.booleans())]
     seps = data.draw(st.lists(st.sampled_from(SEPARATORS), min_size=len(tokens), max_size=len(tokens)))
     out = ""
     prev = None
