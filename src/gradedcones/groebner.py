@@ -59,6 +59,7 @@ import heapq
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, sub
 
 from .errors import ResourceLimitError
 from .orders import TermOrder
@@ -205,9 +206,13 @@ class _PairQueue:
         leads.append(h)
         # a queued pair whose lcm h divides is redundant, unless the lcm
         # equals the lcm of one of its sides with h
-        for (i, j), lcm in list(live.items()):
-            if exp_divides(h, lcm) and lcm != exp_lcm(leads[i], h) and lcm != exp_lcm(leads[j], h):
-                del live[i, j]
+        dead = [
+            (i, j)
+            for (i, j), lcm in live.items()
+            if exp_divides(h, lcm) and lcm != exp_lcm(leads[i], h) and lcm != exp_lcm(leads[j], h)
+        ]
+        for pair in dead:
+            del live[pair]
         # new pairs with G by ascending lcm degree, so a proper divisor of an
         # lcm comes before it, and coprime ones first among equal lcms; a pair
         # goes when an earlier kept lcm divides its lcm, and coprime pairs are
@@ -334,7 +339,7 @@ def binomial_normal_form(pair: tuple[Exponent, Exponent], basis, order: TermOrde
 
 def _replace(m: Exponent, a: Exponent, b: Exponent) -> Exponent:
     """m - a + b: the monomial x^m with its factor x^a replaced by x^b."""
-    return tuple(x - y + z for x, y, z in zip(m, a, b))
+    return tuple(map(add, map(sub, m, a), b))
 
 
 def _reduce_tail(d: Exponent, basis) -> Exponent:

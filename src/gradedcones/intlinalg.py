@@ -5,7 +5,9 @@ Python ints, with no modular arithmetic and no floating point.  The row
 Hermite normal form is the only elimination: it gives the rank, a canonical
 basis of the integer kernel (the Hermite form of [M^T | I], Cohen, *A Course
 in Computational Algebraic Number Theory*, section 2.4) and lattice indices
-(ratios of pivot products).
+(ratios of pivot products).  The LLL reduction is the only reduction: it
+turns a basis of a lattice into one of short, nearly orthogonal vectors
+(Cohen, section 2.6), as orbit closures want their lattice binomials.
 """
 
 from __future__ import annotations
@@ -102,3 +104,65 @@ def lattice_index(full_vectors, sub_vectors) -> int | None:
     if hermite_normal_form(full + sub) != full:
         raise ValueError("second lattice is not contained in the first")
     return prod(map(_pivot, sub)) // prod(map(_pivot, full))
+
+
+def lll_reduced(rows) -> list[tuple[int, ...]]:
+    """An LLL-reduced basis, with delta = 3/4, of the lattice the independent rows span.
+
+    Cohen's integral LLL (Algorithm 2.6.7): the Gram-Schmidt data are kept
+    as integers, d[l + 1] the Gram determinant of the first l + 1 rows and
+    lam[k][l] = d[l + 1] mu[k][l], every division exact, so the reduction
+    runs in polynomial time with no fraction.  Row k is size-reduced
+    against row k - 1 (an integer multiple, the nearest to mu[k][k - 1], is
+    subtracted when |mu| > 1/2), swapped with it while Lovasz's condition
+    B_k >= (3/4 - mu^2) B_{k-1} fails, B_k = d[k + 1] / d[k] the squared
+    length of row k's Gram-Schmidt vector, and otherwise size-reduced
+    against the rows before, nearest first.  Raises ValueError on
+    dependent rows.
+    """
+    b = _copy(rows)
+    n = len(b)
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):  # the Gram-Schmidt data of the rows as given
+        for j in range(k + 1):
+            u = sum(map(operator.mul, b[k], b[j]))
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            elif u:
+                d[k + 1] = u
+            else:
+                raise ValueError("LLL reduction needs independent rows")
+
+    def reduce(k: int, l: int) -> None:
+        # row k minus the multiple of row l nearest to mu[k][l], if |mu| > 1/2
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    k = 1
+    while k < n:
+        reduce(k, k - 1)
+        nu = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * nu * nu:
+            # swap rows k - 1 and k; lam[k][k - 1] stays
+            b[k - 1], b[k] = b[k], b[k - 1]
+            for j in range(k - 1):
+                lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+            dk = (d[k - 1] * d[k + 1] + nu * nu) // d[k]
+            for i in range(k + 1, n):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - nu * t) // d[k]
+                lam[i][k - 1] = (dk * t + nu * lam[i][k]) // d[k + 1]
+            d[k] = dk
+            k = max(k - 1, 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+            k += 1
+    return [tuple(row) for row in b]

@@ -5,7 +5,9 @@ the character given by degree column i.  The orbit of a rational point is
 parametrized by substituting y_i -> a_i t^{column_i}; its dimension is the
 lattice rank of the support columns, and its closure is cut out by binomials
 coming from the integer kernel of the support columns (saturated by the
-support coordinates) plus the vanishing coordinates.  The binomial part is
+support coordinates) plus the vanishing coordinates.  The binomials come
+from an LLL-reduced basis of that kernel: short vectors make low-degree
+binomials, and so small saturations.  The binomial part is
 computed in the ring of the support's variables alone, so a closure costs
 what its support costs, whatever the width of the ring, and at the
 all-ones point: scaling each coordinate by the point's makes it an ideal
@@ -17,7 +19,8 @@ ideal, shows it to be a nonzerodivisor, and the closure is checked from
 its lex basis alone.
 
 Also here: the union of coordinate subspaces where the orbit dimension is
-at most a bound (the flats of that rank in the column matroid), the
+at most a bound (the flats of that rank in the column matroid, each read
+off the integer annihilator of its spanning columns), the
 largest orbit dimension on a cone (a coordinate point on the cone, read
 from the generators' coefficients, witnesses a non-vanishing coordinate
 without a saturation), a rational search for one-dimensional orbits,
@@ -34,6 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from operator import mul
 
 from . import intlinalg
 from .cones import HomogeneousIdeal, generator_degrees
@@ -155,6 +159,15 @@ def orbit_closure_ideal(p: RationalPoint, grading: GradingMap) -> HomogeneousIde
     the reduced lex basis, normalized to content-free integer coefficients
     with a positive leading sign.
 
+    Any basis of the kernel lattice will do: the ideal of a basis's
+    binomials, saturated by the product of the variables, is the lattice
+    ideal, which depends on the lattice alone, and its reduced lex basis is
+    unique.  The basis only sets the cost of the saturations.  The Hermite
+    basis is skewed (the o04 document of the benchmark's orbits pool has
+    (0, 0, 10, 2, -12, -3)), and its binomials' high degrees swell the
+    intermediate bases, so the kernel is LLL-reduced first
+    (intlinalg.lll_reduced): short vectors give low-degree binomials.
+
     I_S is computed in the support's subring, under grading.restrict(S)
     and the positivity weights of S: lex and the saturation orders,
     restricted to monomials in S, are the same orders there, and reduced
@@ -204,7 +217,7 @@ def orbit_closure_ideal(p: RationalPoint, grading: GradingMap) -> HomogeneousIde
     q = RationalPoint(local.ring, tuple(p.coords[i] for i in support))
     weights = tuple(dots[i] for i in support)
     coordinates = range(len(support))  # the support's positions in the subring
-    lattice = _column_kernel(local, coordinates)
+    lattice = intlinalg.lll_reduced(_column_kernel(local, coordinates))
     pairs = [_split(u, coordinates, len(support)) for u in lattice]
     spanning: list[int] = []
     order = None  # the order of the last saturation step
@@ -308,8 +321,12 @@ def low_orbit_stratum(grading: GradingMap, mu0: int) -> CoordinateSubspaceUnion:
     (adding any other coordinate raises the rank): the maximal supports are
     the rank-mu0 flats of the column matroid, each the closure of any mu0
     independent columns inside it.  The mu0-subsets are tried in
-    lexicographic order, skipping those inside a flat already found and
-    those with dependent columns, so at most C(n, mu0) * n rank checks run.
+    lexicographic order, skipping those inside a flat already found.  Each
+    subset tried costs one integer kernel of its columns, the annihilator:
+    more than m - mu0 vectors mean dependent columns, which span a smaller
+    flat, and otherwise column i lies in the flat exactly when every
+    annihilator vector is orthogonal to it.  So at most C(n, mu0) kernels
+    and C(n, mu0) * n dot products run, and one rank, of all the columns.
     For mu0 = 0 the one flat is the set of zero columns, which is the empty
     support (the origin alone) when there are none.
     """
@@ -318,17 +335,22 @@ def low_orbit_stratum(grading: GradingMap, mu0: int) -> CoordinateSubspaceUnion:
     n = grading.ring.nvars
     if n > 20:
         raise Rejection("subset enumeration is limited to 20 variables")
-    cols = [list(c) for c in grading.columns]
+    cols = grading.columns
     if intlinalg.rank(cols) <= mu0:
         return CoordinateSubspaceUnion(bound=mu0, components=(tuple(range(n)),))
+    if not mu0:
+        zero = tuple(i for i in range(n) if not any(cols[i]))
+        return CoordinateSubspaceUnion(bound=0, components=(zero,))
     flats: list[tuple[int, ...]] = []
     for basis in combinations(range(n), mu0):
         if any(set(basis).issubset(flat) for flat in flats):
             continue
-        hermite = intlinalg.hermite_normal_form([cols[i] for i in basis])
-        if len(hermite) < mu0:
+        annihilator = intlinalg.integer_kernel([cols[i] for i in basis])
+        if len(annihilator) > grading.m - mu0:
             continue  # dependent columns span a smaller flat
-        flats.append(tuple(i for i in range(n) if intlinalg.rank(hermite + [cols[i]]) == mu0))
+        flats.append(
+            tuple(i for i in range(n) if not any(sum(map(mul, u, cols[i])) for u in annihilator))
+        )
     flats.sort(key=lambda s: (-len(s), s))
     return CoordinateSubspaceUnion(bound=mu0, components=tuple(flats))
 

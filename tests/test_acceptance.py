@@ -578,3 +578,24 @@ def test_criterion_22_one_dim_orbit_over_free_coordinates(capsys, tmp_path):
         assert code == 0
     assert result["point"] == "(1, 1, 0, 0, 0, 0, 0)"
     assert result["support"] == ["y1", "y2"]
+
+
+def test_criterion_23_orbit_closure_of_a_wide_lattice(capsys, tmp_path):
+    # eight support coordinates and four grading rows: saturating the
+    # binomials of the Hermite kernel basis took 27.5 s (on a 2-core x86-64
+    # machine); those of the LLL-reduced basis give the same reduced lex
+    # basis, whose report's digest was recorded from the Hermite basis
+    path = tmp_path / "doc.gc"
+    path.write_text(
+        "ring y0 y1 y2 y3 y4 y5 y6 y7 ;\n"
+        "grading [[3,0,3,3],[3,0,1,3],[2,2,1,0],[3,3,2,0],[1,2,0,3],[1,2,3,3],[2,2,3,1],[3,2,2,1]] ;\n"
+        "point P = (-2, -1, -2, 3, -2, 1, 3, 1) ;\n"
+    )
+    with criterion(23, "orbit closure of an 8-coordinate support, 4 rows", 1.0):
+        code = main(["orbit-closure", "--point", "P", "--file", str(path)])
+        out = capsys.readouterr().out
+        assert code == 0
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "96b681cfa2872b9a472d3981ea935f608d1d53a81fb9b71a7bd35691facf0849"
+    )

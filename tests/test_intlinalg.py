@@ -10,8 +10,11 @@ from gradedcones.intlinalg import (
     hermite_normal_form,
     integer_kernel,
     lattice_index,
+    lll_reduced,
     rank,
 )
+
+import reference_lattice
 
 
 def mat_vec(rows, v):
@@ -317,6 +320,46 @@ def test_hermite_normal_form_matches_sympy():
         if ours:
             assert spans(ours, theirs) and spans(theirs, ours), rows
             assert spans(ours, rows), rows
+
+
+def test_lll_reduced_agrees_with_sympy():
+    # random independent bases and Hermite kernel bases, row for row
+    pytest.importorskip("sympy")
+    assert reference_lattice.mismatches(300, seed=20090143) == []
+
+
+def _dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def test_lll_reduced_is_a_reduced_basis_of_the_same_lattice():
+    rng = random.Random(20090144)
+    for k in range(300):
+        rows = (reference_lattice.random_basis if k % 2 else reference_lattice.kernel_basis)(rng)
+        reduced = lll_reduced(rows)
+        assert hermite_normal_form(reduced) == hermite_normal_form(rows), rows
+        # Gram-Schmidt in Fractions: |mu| <= 1/2 below the diagonal, and
+        # Lovasz's condition with delta = 3/4 between neighbours
+        star, norms = [], []
+        for i, b in enumerate(reduced):
+            v = [Fraction(x) for x in b]
+            for j, (s, norm) in enumerate(zip(star, norms)):
+                mu = _dot(b, s) / norm
+                assert abs(mu) <= Fraction(1, 2), rows
+                v = [x - mu * y for x, y in zip(v, s)]
+            star.append(v)
+            norms.append(_dot(v, v))
+            if i:
+                mu = _dot(b, star[i - 1]) / norms[i - 1]
+                assert norms[i] >= (Fraction(3, 4) - mu * mu) * norms[i - 1], rows
+    assert lll_reduced([]) == []
+    assert lll_reduced([[0, 3]]) == [(0, 3)]
+
+
+def test_lll_reduced_rejects_dependent_rows():
+    for rows in ([[0, 0]], [[1, 2], [2, 4]], [[1, 0, 0], [0, 1, 0], [1, 1, 0]], [[1], [2]]):
+        with pytest.raises(ValueError):
+            lll_reduced(rows)
 
 
 def test_non_integer_entries_are_rejected_not_truncated():

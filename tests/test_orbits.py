@@ -200,6 +200,28 @@ def test_low_orbit_stratum_at_the_cap_within_budget():
     assert elapsed < 1.0, f"stratum at the cap blew its 1 s budget: {elapsed:.2f}s"
 
 
+def test_low_orbit_stratum_reads_each_flat_off_one_annihilator(monkeypatch):
+    # 12 variables, 3 rows: at mu0 = 1 each column tried spans its parallel
+    # class, so every subset tried gives a component; one rank runs, of all
+    # the columns, and one integer kernel per subset tried, none per column
+    ring = PolyRing(tuple(f"v{i}" for i in range(12)))
+    columns = [
+        (1, 0, 0), (2, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (0, 0, 2),
+        (3, 0, 0), (1, 2, 3), (2, 2, 0), (0, 3, 0), (2, 4, 6), (1, 0, 1),
+    ]
+    calls = {"rank": 0, "integer_kernel": 0}
+    for name in calls:
+
+        def spy(rows, real=getattr(intlinalg, name), name=name):
+            calls[name] += 1
+            return real(rows)
+
+        monkeypatch.setattr(intlinalg, name, spy)
+    components = low_orbit_stratum(GradingMap(ring, columns), 1).components
+    assert components == ((0, 1, 6), (2, 9), (3, 8), (4, 5), (7, 10), (11,))
+    assert calls == {"rank": 1, "integer_kernel": 6}
+
+
 def test_nonvanishing_and_max_dimension():
     assert nonvanishing_coordinates(SURFACE) == (0, 1, 2, 3)
     assert max_orbit_dimension(SURFACE) == 2
