@@ -303,7 +303,7 @@ def buchberger(
     return GroebnerBasis(ring, order, elements, element_leads, stats)
 
 
-def binomial_normal_form(pair: tuple[Exponent, Exponent], basis, order: TermOrder):
+def _binomial_normal_form(pair: tuple[Exponent, Exponent], basis, order: TermOrder):
     """The remainder of x^a - x^b, (a, b) = pair, under division by basis.
 
     basis holds (lead, tail) pairs, each x^lead - x^tail with lead greater
@@ -384,7 +384,7 @@ def binomial_basis(pairs, order: TermOrder) -> tuple[tuple[tuple[Exponent, Expon
     while (pair := queue.pop()) is not None:
         (a1, b1), (a2, b2) = basis[pair[0]], basis[pair[1]]
         lcm = exp_lcm(a1, a2)
-        r = binomial_normal_form((_replace(lcm, a1, b1), _replace(lcm, a2, b2)), reducers, order)
+        r = _binomial_normal_form((_replace(lcm, a1, b1), _replace(lcm, a2, b2)), reducers, order)
         if r is not None:
             add(r)
 

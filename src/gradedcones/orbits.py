@@ -14,9 +14,9 @@ all-ones point: scaling each coordinate by the point's makes it an ideal
 of pure binomials, whose Groebner bases are computed on exponent pairs
 with no coefficients (Eisenbud and Sturmfels, Duke Math. J. 84, 1996,
 Prop. 1.1) and scaled back by the point at the end.  A support coordinate
-is saturated only when no binomial of a column relation, already in the
-ideal, shows it to be a nonzerodivisor, and the closure is checked from
-its lex basis alone.
+is saturated only while no binomial of a saturated basis shows it to be a
+nonzerodivisor, a lattice of rank at most 1 needs no Groebner run at all,
+and the closure is checked from its lex basis alone.
 
 Also here: the union of coordinate subspaces where the orbit dimension is
 at most a bound (the flats of that rank in the column matroid, each read
@@ -43,7 +43,7 @@ from . import intlinalg
 from .cones import HomogeneousIdeal, generator_degrees
 from .errors import DependentColumnsError, NoRationalPointError, Rejection
 from .grading import GradingMap
-from .groebner import binomial_basis, binomial_normal_form
+from .groebner import binomial_basis
 from .ideals import (
     IdealPresentation,
     eliminate,
@@ -188,20 +188,21 @@ def orbit_closure_ideal(p: RationalPoint, grading: GradingMap) -> HomogeneousIde
     so groebner.binomial_basis computes them from exponents alone, and
     each basis pair (a, b) maps back to q^b x^a - q^a x^b.
 
-    Fewer saturations suffice (Hosten and Sturmfels, IPCO 1995).  The
-    support is walked in ascending order, keeping the saturated coordinates
-    whose columns are independent (spanning).  Before x_i is saturated,
-    when a_i lies in the span of the spanning columns, let u be the
-    primitive kernel vector of the columns spanning + [i] with u_i > 0.  If
-    the pair (u+, u-) has normal form zero modulo the current ideal K,
-    under the order of the last saturation step (whose quotients are a
-    Groebner basis for it), x_i is skipped: K is saturated in every
-    spanning coordinate, so x_i f in K gives x^{u+} f in K, then x^{u-} f
-    in K and f in K.  That stays true as K grows, so at the end every
-    support coordinate is a nonzerodivisor and the ideal is the full
-    saturation.  The saturation by x_i is the reduced basis under
+    Fewer saturations suffice.  A set N of support coordinates known to be
+    nonzerodivisors modulo the current ideal K grows as K is saturated: the
+    least coordinate x_i outside N is saturated, under
     ideals.saturation_order(weights, i), with the least exponent of x_i
-    taken from both sides of every pair (Bayer and Stillman).
+    taken from both sides of every pair (Bayer and Stillman), and x_i joins
+    N.  Then every pair (c, d) of the saturated basis, in both orientations,
+    whose side d has all its variables in N puts every variable of c in N:
+    x_j f in K for x_j dividing x^c gives x^c f in K, so x^d f in K and f in
+    K.  The scan repeats until N stops growing, and the saturations stop
+    once N covers the support.  Saturation keeps both the binomial and every
+    nonzerodivisor, so at the end every support coordinate is a
+    nonzerodivisor and K is the lattice ideal.  A lattice of rank 0 or 1
+    needs no saturation and no Groebner run: a single binomial with
+    disjoint sides has no monomial factor, so the ideal it generates is
+    saturated, and oriented by lex it is its own reduced lex basis.
 
     I_S is verified from its lex basis: homogeneous generators, each
     vanishing along the parametrization, and Krull dimension, read from the
@@ -216,32 +217,29 @@ def orbit_closure_ideal(p: RationalPoint, grading: GradingMap) -> HomogeneousIde
     local = grading.restrict(support)
     q = RationalPoint(local.ring, tuple(p.coords[i] for i in support))
     weights = tuple(dots[i] for i in support)
-    coordinates = range(len(support))  # the support's positions in the subring
-    lattice = intlinalg.lll_reduced(_column_kernel(local, coordinates))
-    pairs = [_split(u, coordinates, len(support)) for u in lattice]
-    spanning: list[int] = []
-    order = None  # the order of the last saturation step
-    for i in coordinates:
-        # a positive grading leaves no column zero, so the first is independent
-        kernel = _column_kernel(local, spanning + [i]) if spanning else []
-        if not kernel:
-            spanning.append(i)
-        else:
-            (u,) = kernel
-            if u[-1] < 0:
-                u = tuple(-k for k in u)
-            circuit = _split(u, spanning + [i], len(support))
-            if binomial_normal_form(circuit, pairs, order) is None:
-                continue
-        order = saturation_order(weights, i)
-        basis, _ = binomial_basis(pairs, order)
-        pairs = []
-        for a, b in basis:
-            k = min(a[i], b[i])
-            pairs.append((a[:i] + (a[i] - k,) + a[i + 1 :], b[:i] + (b[i] - k,) + b[i + 1 :]))
-
+    matrix = [[column[t] for column in local.columns] for t in range(local.m)]
+    lattice = intlinalg.lll_reduced(intlinalg.integer_kernel(matrix))
+    pairs = [(tuple(max(k, 0) for k in u), tuple(max(-k, 0) for k in u)) for u in lattice]
     lex = TermOrder.lex()
-    gb, _ = binomial_basis(pairs, lex)
+    if len(lattice) <= 1:
+        # one binomial with disjoint sides has no monomial factor, so (f) is
+        # saturated, and f, oriented by lex, is its own reduced lex basis
+        gb = tuple((a, b) if lex.key(a) > lex.key(b) else (b, a) for a, b in pairs)
+    else:
+        known: set[int] = set()  # N: support coordinates shown to be nonzerodivisors
+        while unknown := set(range(len(support))) - known:
+            i = min(unknown)
+            basis, _ = binomial_basis(pairs, saturation_order(weights, i))
+            pairs = []
+            for a, b in basis:
+                k = min(a[i], b[i])
+                pairs.append((a[:i] + (a[i] - k,) + a[i + 1 :], b[:i] + (b[i] - k,) + b[i + 1 :]))
+            known.add(i)
+            # x^c - x^d in K with every variable of d known: so is every one of c
+            sides = [(_variables(c), _variables(d)) for a, b in pairs for c, d in ((a, b), (b, a))]
+            while grown := {j for c, d in sides if d <= known for j in c} - known:
+                known |= grown
+        gb, _ = binomial_basis(pairs, lex)
     leads = [a for a, _ in gb]
     # the orbit dimension, by rank-nullity from the full kernel of the support columns
     if leading_dimension(leads, len(support)) != len(support) - len(lattice):
@@ -273,22 +271,9 @@ def orbit_closure_ideal(p: RationalPoint, grading: GradingMap) -> HomogeneousIde
     )
 
 
-def _column_kernel(grading: GradingMap, coordinates) -> list[tuple[int, ...]]:
-    """Hermite basis of the integer relations among the named degree columns."""
-    rows = [[grading.columns[i][t] for i in coordinates] for t in range(grading.m)]
-    return intlinalg.integer_kernel(rows)
-
-
-def _split(u, coordinates, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(u+, u-) in n variables, u an integer vector over the coordinates."""
-    plus = [0] * n
-    minus = [0] * n
-    for i, k in zip(coordinates, u):
-        if k > 0:
-            plus[i] = k
-        elif k < 0:
-            minus[i] = -k
-    return tuple(plus), tuple(minus)
+def _variables(e) -> set[int]:
+    """The variables of the monomial x^e."""
+    return {j for j, k in enumerate(e) if k}
 
 
 def _scaled_back(q: RationalPoint, a, b) -> Polynomial:

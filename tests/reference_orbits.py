@@ -1,26 +1,29 @@
 """Orbit closures by full saturation and the full-ring orbit search, kept as references.
 
 `orbits.orbit_closure_ideal` works in the ring of the support's variables,
-on exponent pairs at the all-ones point, skips the saturation by a support
-coordinate when a binomial of the lattice already shows it to be a
-nonzerodivisor, and checks the closure from its lex basis;
-`orbits.nonvanishing_coordinates` takes a coordinate point on the cone,
-read from coefficients, as a witness instead of saturating.  The
-references below work in the full ring, saturate by every support
-coordinate, validate the closure through `homogeneous_ideal`, and saturate
-by every coordinate.  `orbits.find_one_dim_orbit` searches each support in
-the ring of its variables and substitutes every value it fixes; the
-reference search adds the vanishing coordinates and each fixed value
-x_i - c as generators and eliminates in all the ring's variables.
+on exponent pairs at the all-ones point.  It saturates only the support
+coordinates that no binomial of an earlier saturated basis has shown to be
+nonzerodivisors, runs no Groebner basis for a lattice of rank at most 1,
+and checks the closure from its lex basis.  `orbits.nonvanishing_coordinates`
+takes a coordinate point on the cone, read from coefficients, as a witness
+instead of saturating.  The references below work in the full ring,
+saturate by every support coordinate, validate the closure through
+`homogeneous_ideal`, and saturate by every coordinate.
+`orbits.find_one_dim_orbit` searches each support in the ring of its
+variables and substitutes every value it fixes; the reference search adds
+the vanishing coordinates and each fixed value x_i - c as generators and
+eliminates in all the ring's variables.
+
 `tests/test_orbits.py` runs `mismatches` on seeded documents: the closure
 generators, in order, their degrees, and the tuples of non-vanishing
 coordinates must agree.  It runs `one_dim_mismatches` too: the point found
 on the document's cone, or the error's type and supports, must agree.  Both
 run on small random documents (`random_document`) and on documents shaped
 like the benchmark's orbits pool (`pool_document`), whose points vanish in
-at least half of their coordinates.  Every Groebner run is capped at PAIR_CAP pairs, so a document
-past the cap raises `ResourceLimitError` instead of running on.  Run this
-file directly to do the same checks without pytest:
+at least half of their coordinates.  Every Groebner run is capped at
+PAIR_CAP pairs, so a document past the cap raises `ResourceLimitError`
+instead of running on.  Run this file directly to do the same checks
+without pytest:
 
     PYTHONPATH=src python3 tests/reference_orbits.py [count] [seed] [random|pool] [closure|one-dim]
 """

@@ -98,6 +98,44 @@ def test_orbit_closure_of_degenerate_points():
     assert krull_dimension(origin.base) == 0
 
 
+def _binomial_runs(monkeypatch) -> list:
+    """The orders of the orbits module's binomial_basis runs, recorded from now on."""
+    runs = []
+    real = orbits_module.binomial_basis
+
+    def spy(pairs, order):
+        runs.append(order)
+        return real(pairs, order)
+
+    monkeypatch.setattr(orbits_module, "binomial_basis", spy)
+    return runs
+
+
+def test_closures_of_lattices_of_rank_at_most_one_run_no_groebner_basis(monkeypatch):
+    # one binomial with disjoint sides is saturated and its own lex basis,
+    # and a lattice of rank 0 has no binomial at all
+    runs = _binomial_runs(monkeypatch)
+    ring = PolyRing(("y1", "y2", "y3"))
+    grading = GradingMap(ring, [(1, 0), (0, 1), (1, 1)])
+    closure = orbit_closure_ideal(point(ring, (1, 1, 1)), grading)
+    assert [repr(g) for g in closure.base.generators] == ["y1*y2 - y3"]
+    # independent support columns
+    closure = orbit_closure_ideal(point(ring, (0, 2, -1)), grading)
+    assert [repr(g) for g in closure.base.generators] == ["y1"]
+    assert runs == []
+
+
+def test_closures_saturate_only_coordinates_not_shown_to_be_nonzerodivisors(monkeypatch):
+    # one saturation per support coordinate, less those a binomial of a
+    # saturated basis shows to be nonzerodivisors, and one lex run
+    runs = _binomial_runs(monkeypatch)
+    rng = random.Random(20090130)
+    for _ in range(600):
+        grading, p, _ = reference_orbits.random_document(rng)
+        orbit_closure_ideal(p, grading)
+    assert len(runs) <= 655
+
+
 def test_orbit_closure_contains_every_torus_translate():
     rng = random.Random(6601)
     p = point(Y, (1, 1, 1, 1))
