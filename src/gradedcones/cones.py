@@ -41,7 +41,6 @@ from .ideals import IdealPresentation, is_proper_homogeneous, krull_dimension
 from .rings import Polynomial
 
 MINOR_LIMIT = 1000  # the most Jacobian minors singular_locus expands
-TAIL_LIMIT = 4000  # the most tail monomials strata.tail_scheme scans
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ translates nothing.  Plain `Rejection`s refuse a kept set that misses a
 variable (`cones.minimal_embedding`), a non-minimal monomial set
 (`strata.MonomialIdealSpec`), a negative orbit bound or more than 20
 variables (`orbits.low_orbit_stratum`), more than `cones.MINOR_LIMIT`
-minors, and more than `cones.TAIL_LIMIT` or infinitely many tails
+minors, and more than `strata.TAIL_LIMIT` or infinitely many tails
 (`strata.tail_scheme`).  API misuse no document can produce stays a
 `ValueError`.
 """

@@ -89,15 +89,17 @@ def ideal_sum(a: IdealPresentation, b: IdealPresentation) -> IdealPresentation:
 
 
 def eliminate(a: IdealPresentation, variables) -> IdealPresentation:
-    """Generators of the elimination ideal a ∩ k[remaining variables].
+    """The reduced degrevlex basis of the elimination ideal a ∩ k[remaining variables].
 
     Computed with a block elimination order that makes the named variables
-    greatest; the returned presentation lives in the same ring but its
-    generators avoid the eliminated variables.
+    greatest, ties broken by degrevlex: the elements of its reduced basis
+    that avoid the block are the reduced basis of the elimination ideal
+    under degrevlex on the remaining variables.  This holds for every
+    block, the empty one included, where the result is a's reduced basis.
+    An elimination ideal in one variable comes back as its one monic
+    generator.  The returned presentation lives in the same ring.
     """
     block = frozenset(variables)
-    if not block:
-        return a
     if not all(0 <= i < a.ring.nvars for i in block):
         raise ValueError("variable index out of range")
     order = TermOrder.elimination(block, a.ring.nvars, TermOrder.degrevlex())

@@ -28,7 +28,9 @@ cross-section charts, and the rational curves that witness every point's
 connection to the origin.  The search, too, works on each support in the
 ring of its variables: the cone restricted there is a cone of its own, and
 each value the search fixes is substituted, so every level of the search
-runs in one variable fewer.
+runs in one variable fewer.  Each level computes its coordinate's
+univariate eliminant once, as one reduced basis, and isolates its roots
+from one remainder sequence, which holds the square-free part too.
 """
 
 from __future__ import annotations
@@ -459,18 +461,19 @@ def _assign(system: IdealPresentation, pres: IdealPresentation, values: tuple) -
     `values` substituted for the leading variables, so pres lives in the
     ring of the variables still to solve.  The first of them takes the
     nonzero rational roots of the monic generator of pres's univariate
-    elimination ideal, or, when that ideal is zero, FREE_VALUE_CANDIDATES.
+    elimination ideal, the one element of `eliminate`'s reduced basis, or,
+    when that ideal is zero, FREE_VALUE_CANDIDATES.
     When no generator of pres contains it, pres is a cylinder over its axis
     and every value leads to the same search, so only the first candidate
-    is tried, which the search would have tried first anyway.  Each value is substituted into pres, and the next level runs
-    in one variable fewer.  A full assignment is checked against system.
+    is tried, which the search would have tried first anyway.  Each value
+    is substituted into pres, and the next level runs in one variable
+    fewer.  A full assignment is checked against system.
     """
     ring = pres.ring
     if not ring.nvars:
         return values if all(g.evaluate(values) == 0 for g in system.generators) else None
     if any(e[0] for g in pres.generators for e in g.terms):
-        # a reduced basis, since an empty block leaves pres as it is
-        uni = eliminate(pres, range(1, ring.nvars)).groebner(TermOrder.lex()).elements
+        uni = eliminate(pres, range(1, ring.nvars)).generators
         roots = _nonzero_rational_roots(uni[0], 0) if uni else FREE_VALUE_CANDIDATES
     else:
         roots = FREE_VALUE_CANDIDATES[:1]
@@ -495,6 +498,15 @@ def _nonzero_rational_roots(p: Polynomial, var: int) -> list[Fraction]:
     candidate in an interval is the fraction of such a denominator nearest
     its midpoint, if that lies inside.  The work grows with the bit sizes of
     the coefficients, not with their values.
+
+    One signed remainder sequence of (a, a') serves twice.  Its last element
+    is gcd(a, a'), and every element divided by it (exactly, by its
+    primitive part) gives a Sturm sequence of the square-free part of a,
+    which has a's distinct roots, each simple (the generalized Sturm
+    theorem: Basu, Pollack and Roy, Algorithms in Real Algebraic Geometry,
+    2006, section 2.2).  Without the division every element vanishes at a
+    multiple root, so a bisection point landing on one reads no sign
+    change there, and the bisection around it does not end.
     """
     coeffs: dict[int, Fraction] = {}
     for e, c in p.terms.items():
@@ -509,7 +521,9 @@ def _nonzero_rational_roots(p: Polynomial, var: int) -> list[Fraction]:
     if len(ints) == 1:
         return []
     lead = abs(ints[-1])
-    sturm = _sturm_sequence(_square_free(ints))
+    seq = _sturm_sequence(ints)
+    g = _primitive(seq[-1])
+    sturm = [_exact_quotient(a, g) for a in seq]
     bound = 2 + max(abs(c) for c in ints[:-1]) // lead  # beyond every root
     roots = []
     # (lo, hi, e): the interval (lo/2^e, hi/2^e], holding at_lo - at_hi roots
@@ -554,15 +568,11 @@ def _derivative(a: list[int]) -> list[int]:
     return [k * c for k, c in enumerate(a)][1:]
 
 
-def _square_free(a: list[int]) -> list[int]:
-    """a divided by gcd(a, a'): the same roots, each simple."""
-    g, h = a, _derivative(a)
-    while h:
-        g, h = h, _primitive(_pseudo_remainder(g, h))
-    g = _primitive(g)
+def _exact_quotient(a: list[int], g: list[int]) -> list[int]:
+    """a / g, for a primitive g that divides a over the rationals (exact by Gauss's lemma)."""
     q = [0] * (len(a) - len(g) + 1)
     a = list(a)
-    for k in reversed(range(len(q))):  # exact by Gauss's lemma
+    for k in reversed(range(len(q))):
         q[k] = a[k + len(g) - 1] // g[-1]
         for i, c in enumerate(g, k):
             a[i] -= q[k] * c

@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .cones import TAIL_LIMIT, EmbeddingResult, homogeneous_ideal, minimal_embedding
+from .cones import EmbeddingResult, homogeneous_ideal, minimal_embedding
 from .errors import Rejection
 from .grading import GradingMap
 from .groebner import normal_form, s_polynomial
@@ -161,6 +161,9 @@ def _same_degree_exponents(nvars: int, degree: int):
     for first in range(degree, -1, -1):
         for rest in _same_degree_exponents(nvars - 1, degree - first):
             yield (first,) + rest
+
+
+TAIL_LIMIT = 4000  # the most tail monomials tail_scheme scans
 
 
 def _check_tail_scan(count: int) -> None:

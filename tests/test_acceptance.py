@@ -17,7 +17,6 @@ import pytest
 from gradedcones.cli import main
 from gradedcones.cones import (
     MINOR_LIMIT,
-    TAIL_LIMIT,
     homogeneous_ideal,
     linear_part,
     minimal_embedding,
@@ -46,7 +45,13 @@ from gradedcones.orbits import (
 from gradedcones.orders import TermOrder
 from gradedcones.rings import PolyRing, Polynomial
 from gradedcones.session import parse_session
-from gradedcones.strata import MonomialIdealSpec, reduced_stratum, stratum_ideal, tail_scheme
+from gradedcones.strata import (
+    TAIL_LIMIT,
+    MonomialIdealSpec,
+    reduced_stratum,
+    stratum_ideal,
+    tail_scheme,
+)
 
 from helpers import (
     random_homogeneous_generators,

@@ -200,6 +200,14 @@ def test_elimination_goldens():
     assert only_z.is_zero_ideal()
 
 
+def test_eliminating_no_variable_returns_the_reduced_basis():
+    # an unreduced presentation comes back as its reduced degrevlex basis,
+    # so eliminate's contract holds for the empty block too
+    a = I(R2, "x^2 y", "x y^2", "x^2 y + x y^2")
+    assert eliminate(a, []).generators == a.groebner().elements
+    assert [repr(g) for g in eliminate(a, []).generators] == ["x^2*y", "x*y^2"]
+
+
 def test_elimination_soundness_random():
     rng = random.Random(8102)
     for _ in range(12):

@@ -1,6 +1,7 @@
 """Torus orbits: dimensions, closures, low-dimension strata, cross-sections, curves."""
 
 import random
+import signal
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -37,6 +38,7 @@ from gradedcones.orbits import _nonzero_rational_roots, _vanishes_at_ones
 from gradedcones.rings import PolyRing, Polynomial
 
 import reference_orbits
+import reference_roots
 from helpers import random_rational, torus_scaled
 
 Y = PolyRing(("y1", "y2", "y3", "y4"))
@@ -370,6 +372,43 @@ def test_one_dim_orbit_search_runs_in_the_support_rings(monkeypatch):
     assert runs and all(any(set(names) <= s for s in supports) for names in runs), runs
 
 
+def test_one_dim_orbit_search_runs_one_groebner_basis_per_elimination(monkeypatch):
+    # each coordinate's eliminant is read off the elimination basis, which
+    # is reduced for every block, the empty one included, so no second
+    # basis under lex is computed for it (document d45 of the docs pool)
+    ring = PolyRing(tuple(f"y{i}" for i in range(1, 6)))
+    grading = GradingMap(ring, [(1,), (3,), (3,), (1,), (1,)])
+    cone = homogeneous_ideal([ring.parse("-4/3 y2^3 - 4/3 y2^2 y3 - 2 y2 y3^2")], grading)
+    depth = [0]
+    runs = eliminations = 0
+    real_assign, real_eliminate = orbits_module._assign, orbits_module.eliminate
+    real_buchberger = ideals_module.buchberger
+
+    def assign(*args):
+        depth[0] += 1
+        try:
+            return real_assign(*args)
+        finally:
+            depth[0] -= 1
+
+    def spy(generators, order, *, ring=None):
+        nonlocal runs
+        runs += depth[0] > 0
+        return real_buchberger(generators, order, ring=ring)
+
+    def counted_eliminate(a, variables):
+        nonlocal eliminations
+        eliminations += 1
+        return real_eliminate(a, variables)
+
+    monkeypatch.setattr(orbits_module, "_assign", assign)
+    monkeypatch.setattr(orbits_module, "eliminate", counted_eliminate)
+    monkeypatch.setattr(ideals_module, "buchberger", spy)
+    p = find_one_dim_orbit(cone)
+    assert p.coords == (1, 0, 0, 0, 0)
+    assert (runs, eliminations) == (27, 27)
+
+
 def test_find_one_dim_orbit_on_the_surface():
     p = find_one_dim_orbit(SURFACE)
     assert p.coords == (1, 0, 0, 0)
@@ -426,10 +465,27 @@ def _trial_division_roots(p, var):
 
 
 def test_rational_roots_agree_with_trial_division():
+    # multiple roots first, under a 1 s timer: the bisection of
+    # (x + 1)^2 (x^2 + 1) lands on -1 itself, where a Sturm sequence that
+    # keeps the factor gcd(p, p') vanishes, and its search never returns
+    ring = PolyRing(("x", "y"))
+    x = ring.variable(0)
+
+    def expire(signum, frame):
+        raise TimeoutError("multiple roots blew their 1 s budget")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        assert _nonzero_rational_roots((x + 1) ** 2 * (x * x + 1), 0) == [-1]
+        p = (2 * x - 5) ** 2 * (x + 3) * (x * x + 1)
+        assert _nonzero_rational_roots(p, 0) == [Fraction(5, 2), -3]
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     # products of rational linear factors (repeated and non-monic), times
     # quadratics that may have no rational root, a rational scalar and x^k
     rng = random.Random(20090121)
-    ring = PolyRing(("x", "y"))
     cases = with_roots = 0
     for _ in range(400):
         var = rng.randrange(2)
@@ -453,31 +509,9 @@ def test_rational_roots_match_sympy_ground_roots():
     # x^k times rational linear factors with wider coefficients than the
     # trial-division test, times a random integer polynomial (mostly without
     # rational roots) and a rational scalar; sympy finds the roots by factoring
-    sympy = pytest.importorskip("sympy")
-    t = sympy.Symbol("t")
-    rng = random.Random(20090126)
-    ring = PolyRing(("x", "y"))
-    with_roots = 0
-    for _ in range(300):
-        q = sympy.Poly(t ** rng.choice((0, 0, 1, 3)), t)
-        for _ in range(rng.randint(0, 4)):
-            linear = sympy.Poly(rng.randint(1, 15) * t - rng.randint(-40, 40), t)
-            q *= linear ** rng.choice((1, 1, 2))
-        lead = rng.choice((1, 1, rng.randint(2, 30)))
-        q *= sympy.Poly([lead] + [rng.randint(-30, 30) for _ in range(rng.randint(0, 4))], t)
-        scale = random_rational(rng, nonzero=True)
-        var = rng.randrange(2)
-        terms = {
-            (k, 0) if var == 0 else (0, k): int(c) * scale
-            for k, c in enumerate(reversed(q.all_coeffs()))
-            if c
-        }
-        expected = sorted(
-            (Fraction(int(r.p), int(r.q)) for r in q.ground_roots() if r),
-            key=lambda r: (abs(r), r < 0),
-        )
-        assert _nonzero_rational_roots(Polynomial(ring, terms), var) == expected, q
-        with_roots += bool(expected)
+    pytest.importorskip("sympy")
+    bad, with_roots = reference_roots.mismatches(300, seed=20090126)
+    assert bad == []
     assert with_roots >= 150
 
 
