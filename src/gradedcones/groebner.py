@@ -46,10 +46,23 @@ A second loop, binomial_basis, computes the reduced basis of an ideal of
 pure binomials x^a - x^b on exponent pairs (a, b) alone: S-polynomials and
 remainders of pure binomials are pure binomials or zero (Eisenbud and
 Sturmfels, Duke Math. J. 84, 1996, Prop. 1.1), so no coefficient is ever
-computed (as in GRIN: Hosten and Sturmfels, IPCO 1995).  It takes the same
-steps buchberger takes on the same binomials as polynomials.  Both loops
-share one Gebauer-Moeller update and pair selection, _PairQueue, which
-reads leading exponents only and runs once per element that joins.
+computed (as in GRIN: Hosten and Sturmfels, IPCO 1995).  On the same
+binomials as polynomials it makes the same pairs and the same remainders
+as buchberger.  Each side of an S-pair is rewritten on its own
+(_reduce_tail): a step replaces a monomial m by m - lead + tail, using the
+first active element whose lead divides m.  So each side follows a chain
+that the reducer list fixes and that strictly decreases in the order.
+normal_form on x^a - x^b steps along the same two chains, always from the
+greater of the two terms; the terms cancel exactly when the chains meet,
+chains that meet coincide from there on, and so they meet exactly when they
+end on the same monomial.  The remainder is that pair of ends, oriented by the order, or
+zero when they are equal.  Both loops share one Gebauer-Moeller update and
+pair selection, _PairQueue, which reads leading exponents only and runs
+once per element that joins.
+
+Every search for a lead that divides a monomial goes through one function,
+_divisor: normal_form, the binomial rewrite _reduce_tail, the minimal leads
+of the interreduction (_minimal) and _PairQueue's new-pair filter.
 
 The number of processed pairs is capped to keep runaway inputs from hanging
 a session; the cap is read from the environment (see DEFAULT_PAIR_LIMIT).
@@ -106,29 +119,36 @@ def normal_form(f: Polynomial, basis, order: TermOrder, leads=None) -> Polynomia
         leads = [order.leading_exponent(g) for g in basis]
     if not basis:
         return f
-    reducers = list(zip(leads, basis))
     remainder: dict[Exponent, Fraction] = {}
     p = dict(f.terms)
     while p:
         e = max(p, key=order.key)
         c = p.pop(e)
-        for le, g in reducers:
-            if exp_divides(le, e):
-                # p -= q x^shift g; g's leading term would cancel the popped c
-                q = c / g.terms[le]
-                shift = exp_sub(e, le)
-                for ge, gc in g.terms.items():
-                    if ge != le:
-                        t = exp_add(ge, shift)
-                        s = p.get(t, 0) - q * gc
-                        if s:
-                            p[t] = s
-                        else:
-                            del p[t]
-                break
-        else:
+        i = _divisor(leads, e)
+        if i is None:
             remainder[e] = c
+            continue
+        # p -= q x^shift g; g's leading term would cancel the popped c
+        g, le = basis[i], leads[i]
+        q = c / g.terms[le]
+        shift = exp_sub(e, le)
+        for ge, gc in g.terms.items():
+            if ge != le:
+                t = exp_add(ge, shift)
+                s = p.get(t, 0) - q * gc
+                if s:
+                    p[t] = s
+                else:
+                    del p[t]
     return Polynomial(f.ring, remainder)
+
+
+def _divisor(leads, e: Exponent) -> int | None:
+    """The index of the first lead in leads that divides x^e, or None."""
+    for i, le in enumerate(leads):
+        if exp_divides(le, e):
+            return i
+    return None
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder, leads=None) -> Polynomial:
@@ -226,7 +246,7 @@ class _PairQueue:
         new.sort()
         kept: list[Exponent] = []
         for _, useful, i, lcm in new:
-            if any(exp_divides(m, lcm) for m in kept):
+            if _divisor(kept, lcm) is not None:
                 continue
             kept.append(lcm)
             if useful:
@@ -291,7 +311,9 @@ def buchberger(
         if not r.is_zero():
             add(r)
 
-    elements, element_leads = _interreduce(reducers, reducer_leads, order)
+    element_leads, elements = _interreduce(
+        reducer_leads, reducers, order, lambda g, ls, gs: normal_form(g, gs, order, ls)
+    )
     if placed and not (len(elements) == 1 and not any(element_leads[0])):
         # not the unit ideal: merge the placed variables in by leading term
         merged = sorted(
@@ -305,54 +327,21 @@ def buchberger(
     return GroebnerBasis(ring, order, elements, element_leads, stats)
 
 
-def _binomial_normal_form(pair: tuple[Exponent, Exponent], basis, order: TermOrder):
-    """The remainder of x^a - x^b, (a, b) = pair, under division by basis.
-
-    basis holds (lead, tail) pairs, each x^lead - x^tail with lead greater
-    than tail under order.  The steps are normal_form's: the greater term
-    is reduced while the lead of some element divides it, by the first such
-    element, and then the lesser one, each step replacing a monomial m by
-    m - lead + tail.  A pure binomial stays one, or two equal monomials
-    cancel (Eisenbud and Sturmfels, Duke Math. J. 84, 1996, Prop. 1.1).
-    Returns the remainder as a (lead, tail) pair, whatever the sign the
-    division leaves on it, or None when it is zero.
-    """
-    key = order.key
-    c, d = pair
-    if c == d:
-        return None
-    if key(c) < key(d):
-        c, d = d, c
-    kd = key(d)
-    while True:  # the greater term
-        for a, b in basis:
-            if exp_divides(a, c):
-                c = _replace(c, a, b)
-                break
-        else:
-            break
-        if c == d:
-            return None
-        kc = key(c)
-        if kc < kd:
-            c, d, kd = d, c, kc
-    return c, _reduce_tail(d, basis)
-
-
 def _replace(m: Exponent, a: Exponent, b: Exponent) -> Exponent:
     """m - a + b: the monomial x^m with its factor x^a replaced by x^b."""
     return tuple(map(add, map(sub, m, a), b))
 
 
-def _reduce_tail(d: Exponent, basis) -> Exponent:
-    """The monomial d reduced while the lead of some element of basis divides it."""
-    while True:
-        for a, b in basis:
-            if exp_divides(a, d):
-                d = _replace(d, a, b)
-                break
-        else:
-            return d
+def _reduce_tail(m: Exponent, leads, tails) -> Exponent:
+    """The monomial x^m rewritten by the binomials x^lead - x^tail while a lead divides it.
+
+    Each step replaces m by m - lead + tail for the first lead that divides
+    x^m; with every lead greater than its tail under a well-order, the steps
+    strictly decrease m and end.
+    """
+    while (i := _divisor(leads, m)) is not None:
+        m = _replace(m, leads[i], tails[i])
+    return m
 
 
 def binomial_basis(pairs, order: TermOrder) -> tuple[tuple[tuple[Exponent, Exponent], ...], int]:
@@ -364,39 +353,44 @@ def binomial_basis(pairs, order: TermOrder) -> tuple[tuple[tuple[Exponent, Expon
     with its pair bookkeeping and cap, on exponents alone: every
     S-polynomial and every remainder of pure binomials is a pure binomial or
     zero, so no coefficient is ever computed.  The S-pair of (a1, b1) and
-    (a2, b2) with l = lcm(a1, a2) is (l - a1 + b1, l - a2 + b2).  On the
-    same generators as polynomials, buchberger processes as many pairs and
-    returns the same elements.
+    (a2, b2) with l = lcm(a1, a2) is (l - a1 + b1, l - a2 + b2), and its
+    remainder is the pair of its two sides, each rewritten on its own by
+    _reduce_tail (see the module docstring).  On the same generators as
+    polynomials, buchberger processes as many pairs and returns the same
+    elements.
     """
     if not order.is_well_order():
         raise ValueError("Groebner computation requires a well-order")
     key = order.key
     queue = _PairQueue(order)
-    basis: list[tuple[Exponent, Exponent]] = []  # indexed like queue.leads
-    reducers: list[tuple[Exponent, Exponent]] = []  # the elements of G
+    leads = queue.leads
+    tails: list[Exponent] = []  # indexed like queue.leads
+    reducer_leads: list[Exponent] = []  # the elements of G
+    reducer_tails: list[Exponent] = []
 
-    def add(pair) -> None:
-        basis.append(pair)
-        queue.add(pair[0])
-        reducers[:] = [basis[i] for i in queue.active]
+    def add(a: Exponent, b: Exponent) -> None:
+        # x^a - x^b joins with its greater side as lead; zero is dropped
+        if a == b:
+            return
+        if key(a) < key(b):
+            a, b = b, a
+        tails.append(b)
+        queue.add(a)
+        reducer_leads[:] = [leads[i] for i in queue.active]
+        reducer_tails[:] = [tails[i] for i in queue.active]
 
     for a, b in pairs:
-        if a != b:
-            add((a, b) if key(a) > key(b) else (b, a))
+        add(a, b)
     while (pair := queue.pop()) is not None:
-        (a1, b1), (a2, b2) = basis[pair[0]], basis[pair[1]]
-        lcm = exp_lcm(a1, a2)
-        r = _binomial_normal_form((_replace(lcm, a1, b1), _replace(lcm, a2, b2)), reducers, order)
-        if r is not None:
-            add(r)
+        i, j = pair
+        lcm = exp_lcm(leads[i], leads[j])
+        add(
+            _reduce_tail(_replace(lcm, leads[i], tails[i]), reducer_leads, reducer_tails),
+            _reduce_tail(_replace(lcm, leads[j], tails[j]), reducer_leads, reducer_tails),
+        )
 
-    # interreduce as _interreduce does: the minimal leads, ascending, each
-    # with its tail reduced against the others
-    minimal = _minimal(reducers, order)
-    reduced = [
-        (a, _reduce_tail(b, minimal[:i] + minimal[i + 1 :])) for i, (a, b) in enumerate(minimal)
-    ]
-    return tuple(reversed(reduced)), queue.processed
+    basis_leads, basis_tails = _interreduce(reducer_leads, reducer_tails, order, _reduce_tail)
+    return tuple(zip(basis_leads, basis_tails)), queue.processed
 
 
 def _place_lone_variables(ring: PolyRing, gens):
@@ -425,30 +419,32 @@ def _place_lone_variables(ring: PolyRing, gens):
         ]
 
 
-def _interreduce(basis, leads, order: TermOrder):
-    """The reduced basis and its leads, descending by leading term.
+def _interreduce(leads, elements, order: TermOrder, reduce):
+    """The reduced basis, as its leads and its elements, descending by lead.
 
-    basis is a Groebner basis of monic elements with the given leads.
+    leads and elements are a Groebner basis of monic elements, or of the
+    binomials x^lead - x^element; reduce(g, leads, elements) is the
+    remainder of g under division by the given elements with the given
+    leads.
     """
-    minimal = _minimal(zip(leads, basis), order)
+    ml, me = _minimal(leads, elements, order)
     # the leading terms are fixed from here on, so one pass of tail
     # reduction against the other elements yields the reduced basis; a lead
     # no other lead divides stays in the remainder with coefficient 1
-    ml = [le for le, _ in minimal]
-    mp = [g for _, g in minimal]
-    reduced = [
-        normal_form(g, mp[:i] + mp[i + 1 :], order, ml[:i] + ml[i + 1 :]) for i, g in enumerate(mp)
-    ]
-    return tuple(reversed(reduced)), tuple(reversed(ml))
+    reduced = [reduce(g, ml[:i] + ml[i + 1 :], me[:i] + me[i + 1 :]) for i, g in enumerate(me)]
+    return tuple(reversed(ml)), tuple(reversed(reduced))
 
 
-def _minimal(items, order: TermOrder) -> list:
-    """The (lead, element) items, ascending by lead, whose lead no lead kept before it divides.
+def _minimal(leads, elements, order: TermOrder) -> tuple[list, list]:
+    """The minimal leads, ascending, and their elements.
 
-    These are the minimal leads; of items with equal leads the first is kept.
+    A lead is kept when no lead kept before it divides it; of equal leads
+    the first is kept.
     """
-    minimal: list = []
-    for item in sorted(items, key=lambda t: order.key(t[0])):
-        if not any(exp_divides(m, item[0]) for m, _ in minimal):
-            minimal.append(item)
-    return minimal
+    ml: list[Exponent] = []
+    me: list = []
+    for le, g in sorted(zip(leads, elements), key=lambda t: order.key(t[0])):
+        if _divisor(ml, le) is None:
+            ml.append(le)
+            me.append(g)
+    return ml, me

@@ -1,9 +1,12 @@
-"""Seeded random generators shared by the test modules.
+"""Seeded random generators shared by the test modules, and a time limit.
 
 Callers pass their own random.Random so every test stays reproducible on
-its own; nothing here touches global state.
+its own; nothing here touches global state, except that time_limit holds
+the SIGALRM handler and the real-time interval timer while its block runs.
 """
 
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 from gradedcones import (
@@ -15,6 +18,27 @@ from gradedcones import (
     PositivityWitness,
 )
 from gradedcones.ideals import is_proper_homogeneous
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the block once it has run seconds of wall-clock time.
+
+    The block runs under the ITIMER_REAL timer and a SIGALRM handler, so
+    this works in the main thread only and does not nest; on exit the timer
+    is stopped and the previous handler restored.
+    """
+
+    def expire(signum, frame):
+        raise TimeoutError(f"past its {seconds} s time limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def random_rational(rng, lo=-4, hi=4, nonzero=False) -> Fraction:

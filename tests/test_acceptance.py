@@ -1,7 +1,8 @@
 """Acceptance gate: every advertised capability, each with a pass/fail line.
 
 Run with `pytest -v -s tests/test_acceptance.py` to see the per-criterion
-lines; each test also enforces its own wall-clock budget.
+lines; each test also enforces its own wall-clock budget, stopping a block
+that runs past it.
 """
 
 import hashlib
@@ -59,6 +60,7 @@ from helpers import (
     random_rational,
     rename,
     stratum_cone,
+    time_limit,
     torus_scaled,
 )
 
@@ -76,9 +78,12 @@ ideal F = y1^2 y2 y3 + y1 y4 + y2 y3^2 y4 ;
 
 @contextmanager
 def criterion(number, label, budget):
+    # the block runs under its budget, so a criterion that loops fails
+    # instead of hanging the suite
     start = time.perf_counter()
     try:
-        yield
+        with time_limit(budget):
+            yield
     except BaseException:
         print(f"criterion {number:2d} ({label}): FAIL")
         raise

@@ -15,7 +15,14 @@ from gradedcones import (
     parse_polynomial,
     s_polynomial,
 )
-from gradedcones.groebner import DEFAULT_PAIR_LIMIT, PAIR_LIMIT_ENV, pair_limit
+from gradedcones.groebner import (
+    DEFAULT_PAIR_LIMIT,
+    PAIR_LIMIT_ENV,
+    _divisor,
+    _reduce_tail,
+    pair_limit,
+)
+from gradedcones.rings import exp_add
 
 import reference_groebner
 
@@ -211,6 +218,57 @@ def test_binomial_basis_agrees_with_buchberger():
     # leads, their order and the pairs processed, or the same refusal at
     # the pair cap
     assert reference_groebner.binomial_mismatches(300, seed=20090127) == []
+
+
+def test_divisor_is_the_first_dividing_lead():
+    assert _divisor([(2, 0), (1, 0), (0, 1)], (1, 1)) == 1
+    assert _divisor([(1, 1), (0, 1), (1, 0)], (1, 1)) == 0
+    assert _divisor([(2, 0), (0, 2)], (1, 1)) is None
+    assert _divisor([], (1, 1)) is None
+
+
+def test_rewriting_each_side_gives_the_binomial_normal_form():
+    # binomial_basis rewrites the two sides of x^a - x^b on their own; with
+    # reducers that are random oriented binomials, not Groebner bases, the
+    # two ends, oriented, must be normal_form of x^a - x^b by the same
+    # binomials as polynomials, up to sign, and equal ends must give zero;
+    # half the pairs are x^m times a reducer, so both outcomes occur
+    rng = random.Random(20090149)
+    zero = nonzero = 0
+    for _ in range(1500):
+        n = rng.randint(2, 5)
+        ring = PolyRing(tuple(f"x{i}" for i in range(n)))
+        order = rng.choice(reference_groebner.orders(rng, n))
+
+        def draw(top=2):
+            return tuple(rng.choice((0, 0) + tuple(range(1, top + 1))) for _ in range(n))
+
+        leads, tails = [], []
+        for _ in range(rng.randint(1, 5)):
+            c, d = draw(), draw()
+            if c != d:
+                leads.append(max(c, d, key=order.key))
+                tails.append(min(c, d, key=order.key))
+        if not leads:
+            continue
+        if rng.random() < 0.5:
+            k = rng.randrange(len(leads))
+            m = draw()
+            a, b = exp_add(m, leads[k]), exp_add(m, tails[k])
+        else:
+            a, b = draw(4), draw(4)
+        c, d = _reduce_tail(a, leads, tails), _reduce_tail(b, leads, tails)
+        reducers = [ring.monomial(le) - ring.monomial(t) for le, t in zip(leads, tails)]
+        r = normal_form(ring.monomial(a) - ring.monomial(b), reducers, order, leads)
+        if c == d:
+            assert r.is_zero(), (a, b, leads, tails, order)
+            zero += 1
+        else:
+            hi, lo = max(c, d, key=order.key), min(c, d, key=order.key)
+            binomial = ring.monomial(hi) - ring.monomial(lo)
+            assert r in (binomial, -binomial), (a, b, leads, tails, order)
+            nonzero += 1
+    assert zero >= 300 and nonzero >= 300, (zero, nonzero)
 
 
 def test_lone_variables_go_straight_into_the_basis():

@@ -1,7 +1,6 @@
 """Torus orbits: dimensions, closures, low-dimension strata, cross-sections, curves."""
 
 import random
-import signal
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -39,7 +38,7 @@ from gradedcones.rings import PolyRing, Polynomial
 
 import reference_orbits
 import reference_roots
-from helpers import random_rational, torus_scaled
+from helpers import random_rational, time_limit, torus_scaled
 
 Y = PolyRing(("y1", "y2", "y3", "y4"))
 G = GradingMap(Y, [(1, 2), (1, 0), (0, 1), (2, 3)])
@@ -465,26 +464,18 @@ def _trial_division_roots(p, var):
 
 
 def test_rational_roots_agree_with_trial_division():
-    # multiple roots first, under a 1 s timer: the bisection of
+    # multiple roots first, under a 1 s limit: the bisection of
     # (x + 1)^2 (x^2 + 1) lands on -1 itself, where a Sturm sequence that
     # keeps the factor gcd(p, p') vanishes, and its search never returns
     ring = PolyRing(("x", "y"))
     x = ring.variable(0)
-
-    def expire(signum, frame):
-        raise TimeoutError("multiple roots blew their 1 s budget")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, 1.0)
-    try:
+    with time_limit(reference_roots.CASE_SECONDS):
         assert _nonzero_rational_roots((x + 1) ** 2 * (x * x + 1), 0) == [-1]
         p = (2 * x - 5) ** 2 * (x + 3) * (x * x + 1)
         assert _nonzero_rational_roots(p, 0) == [Fraction(5, 2), -3]
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
     # products of rational linear factors (repeated and non-monic), times
-    # quadratics that may have no rational root, a rational scalar and x^k
+    # quadratics that may have no rational root, a rational scalar and x^k;
+    # each case under the same limit, so an isolation that loops fails
     rng = random.Random(20090121)
     cases = with_roots = 0
     for _ in range(400):
@@ -498,8 +489,9 @@ def test_rational_roots_agree_with_trial_division():
             p = p * (ring.constant(rng.randint(1, 2)) * x * x + ring.constant(rng.randint(-5, 5)))
         if rng.random() < 0.3:
             p = p * x ** rng.randint(1, 2)
-        roots = _nonzero_rational_roots(p, var)
-        assert roots == _trial_division_roots(p, var), p
+        with time_limit(reference_roots.CASE_SECONDS):
+            roots = _nonzero_rational_roots(p, var)
+            assert roots == _trial_division_roots(p, var), p
         cases += len(p.terms) > 1
         with_roots += bool(roots)
     assert cases >= 300 and with_roots >= 150
