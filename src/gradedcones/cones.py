@@ -38,7 +38,7 @@ from math import comb
 from .errors import ImproperIdealError, NotHomogeneousError, Rejection
 from .grading import Degree, GradingMap
 from .ideals import IdealPresentation, is_proper_homogeneous, krull_dimension
-from .rings import Polynomial
+from .rings import Polynomial, exp_unit
 
 MINOR_LIMIT = 1000  # the most Jacobian minors singular_locus expands
 
@@ -132,7 +132,7 @@ def _gauss_jordan(rows, columns) -> tuple[dict[int, Polynomial], list[Polynomial
     for c in columns:
         if not rest:
             break
-        (unit,) = rest[0].ring.variable(c).terms
+        unit = exp_unit(rest[0].ring.nvars, c)
         hit = next((i for i, r in enumerate(rest) if unit in r.terms), None)
         if hit is None:
             continue

@@ -15,7 +15,7 @@ from operator import mul
 from .errors import ImproperIdealError
 from .groebner import GroebnerBasis, buchberger
 from .orders import TermOrder
-from .rings import PolyRing, Polynomial
+from .rings import PolyRing, Polynomial, exp_lower, exp_support
 
 DEFAULT_ORDER = TermOrder.degrevlex()
 
@@ -137,7 +137,7 @@ def saturate(a: IdealPresentation, variables, weights) -> IdealPresentation:
         gens = []
         for g in out.groebner(saturation_order(weights, i)).elements:
             k = min(e[i] for e in g.terms)
-            terms = {e[:i] + (e[i] - k,) + e[i + 1 :]: c for e, c in g.terms.items()}
+            terms = {exp_lower(e, i, k): c for e, c in g.terms.items()}
             gens.append(Polynomial(a.ring, terms))
         out = IdealPresentation(a.ring, gens)
     return out
@@ -170,32 +170,57 @@ def leading_dimension(leads, n: int) -> int:
     It is that of the ideal whose Groebner basis has these leads.  A
     variable set S is independent of the leading-term ideal when no leading
     term involves only variables from S; the dimension is the largest such
-    |S| (equivalently n minus a minimum hitting set of the leading-term
-    supports).
+    |S|, n minus a minimum hitting set of the leading-term supports
+    (Kredel and Weispfenning, J. Symbolic Comput. 6, 1988).
+
+    A minimum hitting set is a minimum vertex cover of a hypergraph, which
+    is NP-hard, so the search stays exponential in the worst case; two
+    things keep it short on the supports that occur.  Supports in different
+    classes of the relation "share a variable", taken transitively, are hit
+    by disjoint variables, so each class is searched on its own.  Inside a
+    class, a branch stops once the variables chosen plus a greedily packed
+    set of pairwise-disjoint supports not yet hit reach the best cover
+    found: each of those supports needs a variable of its own.
     """
-    supports = [frozenset(i for i, x in enumerate(e) if x) for e in leads]
+    supports = list(map(exp_support, leads))
     # a single-variable support forces its variable into every hitting set,
     # and that variable hits every support holding it
     forced = {i for s in supports if len(s) == 1 for i in s}
     rest = {s for s in supports if not s & forced}
     # remove supersets, they are hit automatically
     rest = [s for s in rest if not any(t < s for t in rest)]
-    return n - len(forced) - _min_hitting_set(rest, n)
+    classes: list[tuple[frozenset, list]] = []  # (variables, supports) per class
+    for s in rest:
+        joined = [c for c in classes if c[0] & s]
+        classes = [c for c in classes if not c[0] & s]
+        variables = s.union(*(v for v, _ in joined))
+        classes.append((variables, [s] + [t for _, c in joined for t in c]))
+    return n - len(forced) - sum(_min_hitting_set(c, len(v)) for v, c in classes)
 
 
 def _min_hitting_set(supports, n: int) -> int:
-    supports = sorted(set(supports), key=lambda s: (len(s), sorted(s)))
-    best = [n]
+    """The least number of variables meeting every support, at most n."""
+    supports = sorted(supports, key=lambda s: (len(s), sorted(s)))
+    best = n
 
     def search(idx: int, chosen: frozenset):
-        if len(chosen) >= best[0]:
-            return
+        nonlocal best
+        # supports before idx are hit; pack the unhit ones greedily
+        first, packed, bound = None, set(), len(chosen)
         for k in range(idx, len(supports)):
-            if not (supports[k] & chosen):
-                for v in sorted(supports[k]):
-                    search(k + 1, chosen | {v})
-                return
-        best[0] = len(chosen)
+            s = supports[k]
+            if not s & chosen:
+                first = k if first is None else first
+                if not s & packed:
+                    packed |= s
+                    bound += 1
+        if bound >= best:
+            return
+        if first is None:
+            best = len(chosen)
+            return
+        for v in sorted(supports[first]):
+            search(first + 1, chosen | {v})
 
     search(0, frozenset())
-    return best[0]
+    return best

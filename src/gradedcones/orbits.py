@@ -57,7 +57,7 @@ from .ideals import (
     saturation_order,
 )
 from .orders import TermOrder
-from .rings import ZERO, PolyRing, Polynomial, exact
+from .rings import ZERO, PolyRing, Polynomial, exact, exp_lower, exp_support, term_value
 
 
 @dataclass(frozen=True)
@@ -117,10 +117,7 @@ def torus_restriction(g: Polynomial, p: RationalPoint, degree) -> dict:
     """
     out: dict = {}
     for e, c in g.terms.items():
-        value = c
-        for a, k in zip(p.coords, e):
-            if k:
-                value *= a**k
+        value = term_value(c, p.coords, e)
         if value == 0:
             continue
         d = degree(e)
@@ -235,10 +232,10 @@ def orbit_closure_ideal(p: RationalPoint, grading: GradingMap) -> HomogeneousIde
             pairs = []
             for a, b in basis:
                 k = min(a[i], b[i])
-                pairs.append((a[:i] + (a[i] - k,) + a[i + 1 :], b[:i] + (b[i] - k,) + b[i + 1 :]))
+                pairs.append((exp_lower(a, i, k), exp_lower(b, i, k)))
             known.add(i)
             # x^c - x^d in K with every variable of d known: so is every one of c
-            sides = [(_variables(c), _variables(d)) for a, b in pairs for c, d in ((a, b), (b, a))]
+            sides = [tuple(map(exp_support, side)) for a, b in pairs for side in ((a, b), (b, a))]
             while grown := {j for c, d in sides if d <= known for j in c} - known:
                 known |= grown
         gb, _ = binomial_basis(pairs, lex)
@@ -273,19 +270,9 @@ def orbit_closure_ideal(p: RationalPoint, grading: GradingMap) -> HomogeneousIde
     )
 
 
-def _variables(e) -> set[int]:
-    """The variables of the monomial x^e."""
-    return {j for j, k in enumerate(e) if k}
-
-
 def _scaled_back(q: RationalPoint, a, b) -> Polynomial:
     """q^b x^a - q^a x^b: the pure binomial x^a - x^b moved from the all-ones point to q."""
-    qa = qb = Fraction(1)
-    for c, i, j in zip(q.coords, a, b):
-        if i:
-            qa *= c**i
-        if j:
-            qb *= c**j
+    qa, qb = (term_value(Fraction(1), q.coords, e) for e in (a, b))
     return q.ring.monomial(a, qb) - q.ring.monomial(b, qa)
 
 
@@ -639,18 +626,19 @@ def cross_section(cone: HomogeneousIdeal, chosen) -> CrossSectionChart:
     if any(not 0 <= i < ring.nvars for i in chosen):
         raise ValueError("chosen variable index out of range")
     h = nonvanishing_coordinates(cone)
-    mu = intlinalg.rank([list(cone.grading.columns[i]) for i in h])
+    h_cols = [list(cone.grading.columns[i]) for i in h]
+    mu = intlinalg.rank(h_cols)
     if len(chosen) != mu:
         raise Rejection(
             f"a cross-section needs exactly {mu} chosen coordinates, got {len(chosen)}"
         )
     if any(i not in h for i in chosen):
         raise Rejection("chosen coordinates must not vanish identically on the cone")
-    chosen_cols = [list(cone.grading.columns[i]) for i in chosen]
-    if intlinalg.rank(chosen_cols) != len(chosen):
+    # the chosen columns span a lattice of rank mu = len(chosen) exactly when independent
+    r = intlinalg.lattice_index(h_cols, [list(cone.grading.columns[i]) for i in chosen])
+    if r is None:
         raise DependentColumnsError("chosen degree columns are linearly dependent")
-    r = intlinalg.lattice_index([list(cone.grading.columns[i]) for i in h], chosen_cols)
-    assert r is not None and r >= 1
+    assert r >= 1
     slice_gens = [ring.variable(i) - ring.one() for i in chosen]
     chart = ideal_sum(cone.base, IdealPresentation(ring, slice_gens))
     return CrossSectionChart(chosen=chosen, index_r=r, slice_ideal=chart, unique=r == 1)

@@ -47,6 +47,29 @@ def exp_lcm(a: Exponent, b: Exponent) -> Exponent:
     return tuple(map(max, a, b))
 
 
+def exp_support(e: Exponent) -> frozenset[int]:
+    """The variables of the monomial x^e."""
+    return frozenset(i for i, k in enumerate(e) if k)
+
+
+def exp_lower(e: Exponent, i: int, k: int) -> Exponent:
+    """The exponent of x^e / x_i^k."""
+    return e[:i] + (e[i] - k,) + e[i + 1 :]
+
+
+def exp_unit(n: int, i: int) -> Exponent:
+    """The exponent of x_i among n variables."""
+    return (0,) * i + (1,) + (0,) * (n - i - 1)
+
+
+def term_value(c, values: Sequence, e: Exponent):
+    """c x^e at the point with these coordinates."""
+    for v, k in zip(values, e):
+        if k:
+            c *= v**k
+    return c
+
+
 def exp_total(a: Exponent) -> int:
     return sum(a)
 
@@ -106,9 +129,7 @@ class PolyRing:
         return Polynomial(self, {(0,) * self.nvars: c})
 
     def variable(self, i: int) -> "Polynomial":
-        e = [0] * self.nvars
-        e[i] = 1
-        return Polynomial(self, {tuple(e): Fraction(1)})
+        return Polynomial(self, {exp_unit(self.nvars, i): Fraction(1)})
 
     def monomial(self, exponent: Sequence[int], coeff=1) -> "Polynomial":
         exponent = tuple(map(operator.index, exponent))
@@ -155,12 +176,7 @@ class Polynomial:
         )
 
     def support_variables(self) -> frozenset[int]:
-        out = set()
-        for e in self.terms:
-            for i, x in enumerate(e):
-                if x:
-                    out.add(i)
-        return frozenset(out)
+        return frozenset().union(*map(exp_support, self.terms))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -267,14 +283,7 @@ class Polynomial:
         if len(values) != self.ring.nvars:
             raise ValueError("wrong number of values")
         vals = [exact(v) for v in values]
-        acc = Fraction(0)
-        for e, c in self.terms.items():
-            t = c
-            for v, k in zip(vals, e):
-                if k:
-                    t *= v**k
-            acc += t
-        return acc
+        return sum((term_value(c, vals, e) for e, c in self.terms.items()), Fraction(0))
 
     def substitute(self, ring: PolyRing, images: Sequence["Polynomial | None"]) -> "Polynomial":
         """Replace each variable i by images[i], a polynomial of ring; the result lies in ring.
@@ -305,20 +314,13 @@ class Polynomial:
         return Polynomial(ring, out)
 
     def partial(self, i: int) -> "Polynomial":
-        """Formal partial derivative with respect to variable i."""
-        out: dict[Exponent, Fraction] = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            if k:
-                ne = list(e)
-                ne[i] = k - 1
-                ne = tuple(ne)
-                s = out.get(ne, ZERO) + c * k
-                if s:
-                    out[ne] = s
-                else:
-                    out.pop(ne, None)
-        return Polynomial(self.ring, out)
+        """Formal partial derivative with respect to variable i.
+
+        Lowering x_i's exponent by one maps distinct terms to distinct terms,
+        so no two terms combine.
+        """
+        terms = {exp_lower(e, i, 1): c * e[i] for e, c in self.terms.items() if e[i]}
+        return Polynomial(self.ring, terms)
 
     # -- normal forms of the coefficient vector --------------------------------
 

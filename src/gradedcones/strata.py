@@ -28,7 +28,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from .cones import EmbeddingResult, homogeneous_ideal, minimal_embedding
@@ -37,7 +37,17 @@ from .grading import GradingMap
 from .groebner import normal_form, s_polynomial
 from .ideals import IdealPresentation
 from .orders import TermOrder
-from .rings import Exponent, PolyRing, Polynomial, exp_add, exp_divides, exp_lcm, exp_sub
+from .rings import (
+    Exponent,
+    PolyRing,
+    Polynomial,
+    exp_add,
+    exp_divides,
+    exp_lcm,
+    exp_sub,
+    exp_support,
+    exp_unit,
+)
 
 
 @dataclass(frozen=True)
@@ -151,16 +161,18 @@ def tail_scheme(j: MonomialIdealSpec, mode: str = "homogeneous") -> TailScheme:
 
 
 def _same_degree_exponents(nvars: int, degree: int):
-    if nvars == 0:
-        if degree == 0:
-            yield ()
-        return
-    if nvars == 1:
-        yield (degree,)
-        return
-    for first in range(degree, -1, -1):
-        for rest in _same_degree_exponents(nvars - 1, degree - first):
-            yield (first,) + rest
+    """Every exponent of nvars entries summing to degree, each once.
+
+    An exponent is the gaps between 0, its nvars - 1 cut points
+    c_1 <= ... <= c_{nvars-1} in 0..degree, and degree; each multiset of
+    cut points comes once from combinations_with_replacement.  A gap costs
+    one subtraction per variable, not one pass over degree.
+    """
+    if nvars:
+        for cuts in combinations_with_replacement(range(degree + 1), nvars - 1):
+            yield tuple(map(operator.sub, cuts + (degree,), (0,) + cuts))
+    elif degree == 0:
+        yield ()
 
 
 TAIL_LIMIT = 4000  # the most tail monomials tail_scheme scans
@@ -177,7 +189,7 @@ def _full_tails(j: MonomialIdealSpec, alpha: Exponent, before: int) -> list[Expo
     nvars = j.ring.nvars
     bound = _stabilizing_power(order, alpha)
     for i in range(nvars):
-        if any(set(k for k, x in enumerate(g) if x) <= {i} for g in j.generators):
+        if any(exp_support(g) <= {i} for g in j.generators):
             continue  # a pure power of x_i lies in J
         probe = tuple(bound if k == i else 0 for k in range(nvars))
         if order.greater(alpha, probe):
@@ -196,7 +208,7 @@ def _full_tails(j: MonomialIdealSpec, alpha: Exponent, before: int) -> list[Expo
         out.append(e)
         _check_tail_scan(before + len(out))
         for i in range(nvars):
-            child = exp_add(e, tuple(int(k == i) for k in range(nvars)))
+            child = exp_add(e, exp_unit(nvars, i))
             if child in seen or j.contains(child) or not order.greater(alpha, child):
                 continue
             seen.add(child)

@@ -18,6 +18,7 @@ from gradedcones.ideals import (
 from gradedcones.orders import TermOrder
 from gradedcones.rings import PolyRing
 
+import reference_dimension
 from helpers import (
     random_homogeneous_generators,
     random_positive_grading,
@@ -252,6 +253,12 @@ def test_krull_dimension_is_order_independent():
         d1 = krull_dimension(a, TermOrder.lex())
         d2 = krull_dimension(a, TermOrder.degrevlex())
         assert d1 == d2
+
+
+def test_leading_dimension_matches_brute_force():
+    # random monomials and edge ideals of random graphs on at most 10
+    # variables, against the largest variable set containing no support
+    assert reference_dimension.mismatches(300, seed=20090149) == []
 
 
 def test_cached_groebner_is_reused():

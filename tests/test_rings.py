@@ -7,7 +7,16 @@ import pytest
 
 from gradedcones import GradingMap, PolyRing, Polynomial, parse_polynomial
 from gradedcones.orbits import RationalPoint, point, rational_curve_through
-from gradedcones.rings import exp_add, exp_divides, exp_lcm, exp_sub
+from gradedcones.rings import (
+    exp_add,
+    exp_divides,
+    exp_lcm,
+    exp_lower,
+    exp_sub,
+    exp_support,
+    exp_unit,
+    term_value,
+)
 
 
 @pytest.fixture
@@ -21,6 +30,11 @@ def test_exponent_helpers():
     assert exp_lcm((1, 2), (3, 0)) == (3, 2)
     assert exp_divides((1, 0), (2, 5))
     assert not exp_divides((1, 3), (2, 2))
+    assert exp_support((0, 3, 0, 1)) == frozenset({1, 3})
+    assert exp_support((0, 0)) == frozenset()
+    assert exp_lower((2, 5, 1), 1, 3) == (2, 2, 1)
+    assert [exp_unit(3, i) for i in range(3)] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert term_value(Fraction(3), (Fraction(1, 2), 0, 5), (2, 0, 1)) == Fraction(15, 4)
 
 
 def test_construction_and_repr(ring):
